@@ -4,18 +4,28 @@
 
 use scanguard_designs::Fifo;
 use scanguard_dft::{
-    enumerate_faults, fault_coverage, CoverageReport, FaultSimConfig, FaultSimEngine, ScanAccess,
+    enumerate_faults, fault_coverage_obs, CoverageReport, FaultSimConfig, FaultSimEngine,
+    ScanAccess,
 };
 use scanguard_dft::{insert_scan, ScanConfig};
 use scanguard_netlist::CellLibrary;
+use scanguard_obs::{Recorder, RecorderConfig};
 
 fn fifo_coverage_with(threads: usize, engine: FaultSimEngine) -> CoverageReport {
+    fifo_coverage_obs(threads, engine, None)
+}
+
+fn fifo_coverage_obs(
+    threads: usize,
+    engine: FaultSimEngine,
+    obs: Option<&Recorder>,
+) -> CoverageReport {
     let fifo = Fifo::generate(8, 8);
     let mut nl = fifo.netlist;
     let chains = insert_scan(&mut nl, &ScanConfig::with_chains(8)).unwrap();
     let lib = CellLibrary::st120nm();
     let faults = enumerate_faults(&nl);
-    fault_coverage(
+    fault_coverage_obs(
         &nl,
         ScanAccess::Direct(&chains),
         &lib,
@@ -27,6 +37,7 @@ fn fifo_coverage_with(threads: usize, engine: FaultSimEngine) -> CoverageReport 
             engine,
             ..FaultSimConfig::default()
         },
+        obs,
     )
     .expect("fault simulation")
 }
@@ -80,4 +91,37 @@ fn dropping_accounts_for_every_fault() {
         "a detectable design must let the simulator drop work: {report:?}"
     );
     assert!(report.coverage_pct().expect("faults simulated") > 50.0);
+}
+
+/// The simulators' work counters for one fixed run pin *which* cells
+/// every settle evaluates: a settle that skips a cell with a changed
+/// input, or evaluates one without, moves them. Any settle rewrite must
+/// leave these numbers exactly where they are.
+#[test]
+fn work_counters_are_pinned() {
+    let counters = |engine: FaultSimEngine| {
+        let rec = Recorder::new(RecorderConfig {
+            metrics: true,
+            ..RecorderConfig::default()
+        });
+        fifo_coverage_obs(1, engine, Some(&rec));
+        rec.metrics_snapshot().counters
+    };
+    let wide = counters(FaultSimEngine::Wide);
+    let scalar = counters(FaultSimEngine::Scalar);
+    assert_eq!(wide["sim.wide.settles"], 456, "{wide:?}");
+    assert_eq!(wide["sim.wide.cell_evals"], 25_303, "{wide:?}");
+    assert_eq!(wide["sim.wide.cycles"], 152, "{wide:?}");
+    assert_eq!(scalar["sim.cell_evals"], 360_098, "{scalar:?}");
+    assert_eq!(scalar["sim.cycles"], 2_572, "{scalar:?}");
+    assert_eq!(scalar["sim.settles"], 7_734, "{scalar:?}");
+    // Both engines simulate the same test, so the fault-level counters
+    // agree across them.
+    for key in [
+        "dft.cycles.simulated",
+        "dft.cycles.dropped",
+        "dft.faults.detected",
+    ] {
+        assert_eq!(wide[key], scalar[key], "{key}");
+    }
 }

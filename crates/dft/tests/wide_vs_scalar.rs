@@ -95,8 +95,8 @@ proptest! {
     #[test]
     fn wide_report_is_byte_identical_to_scalar(
         n_inputs in 1usize..4,
-        n_ffs in 2usize..9,
-        recipes in proptest::collection::vec(gate_strategy(), 1..14),
+        n_ffs in 2usize..33,
+        recipes in proptest::collection::vec(gate_strategy(), 1..200),
         chains in 1usize..4,
         patterns in 1usize..6,
         seed in any::<u64>(),

@@ -59,6 +59,7 @@ mod simulator;
 mod tables;
 mod vcd;
 mod wide;
+mod worklist;
 
 pub use domain::{Domain, DomainId};
 pub use energy::EnergyWindow;

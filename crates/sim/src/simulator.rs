@@ -1,6 +1,7 @@
 //! The levelized cycle simulator.
 
 use crate::tables::SimTables;
+use crate::worklist::Worklist;
 use crate::{Domain, DomainId, EnergyWindow};
 use scanguard_netlist::{CellId, CellLibrary, Logic, NetId, Netlist, NetlistError};
 
@@ -50,28 +51,12 @@ pub struct Simulator<'a> {
     /// widest fan-in so no gate can silently lose inputs (or panic with
     /// an opaque slice error) during evaluation.
     ibuf: Vec<Logic>,
-    /// Per-net change flags driving the incremental settle: a
-    /// combinational cell is only re-evaluated when one of its input
-    /// nets changed since the last settle. Cleared wholesale at the end
-    /// of each pass (every flag set before or during a pass has been
-    /// consumed by then — loads sit later in topological order than
-    /// their drivers).
-    dirty: Vec<bool>,
-    /// The nets currently flagged in `dirty`, as a compact list: lets a
-    /// settle with a tiny change frontier run event-driven instead of
-    /// scanning every cell's flags.
-    dirty_list: Vec<u32>,
-    /// Escape hatch for events that change cell outputs without touching
-    /// any input net (domain power flips, clearing stuck-at forces):
-    /// forces the next settle to evaluate everything.
-    all_dirty: bool,
-    /// Per-topo-position "already queued" flags for the sparse settle.
-    queued: Vec<bool>,
-    /// Work queue of the sparse settle (kept across calls to reuse its
-    /// allocation).
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
+    /// Cells with a changed input since the last settle, driving the
+    /// event-driven settle: a combinational cell is only re-evaluated
+    /// when one of its input nets changed.
+    work: Worklist,
     /// Flattened struct-of-arrays cell metadata (kinds, output nets,
-    /// CSR input lists, energy figures, fan-out lists) — everything the
+    /// CSR input lists, energy figures, CSR fan-out) — everything the
     /// settle/capture/commit loops read, laid out contiguously so the
     /// hot path never chases `Netlist` cell pointers.
     tables: SimTables,
@@ -94,16 +79,14 @@ pub struct Simulator<'a> {
 /// allocation-free relaxed atomics on the hot path).
 #[derive(Debug)]
 struct SimObs {
-    /// Settles served by the event-driven sparse walk.
-    settle_sparse: scanguard_obs::CounterHandle,
-    /// Settles served by the linear full scan.
-    settle_full: scanguard_obs::CounterHandle,
+    /// Settle passes run.
+    settles: scanguard_obs::CounterHandle,
     /// Combinational cells evaluated across all settles.
     cell_evals: scanguard_obs::CounterHandle,
     /// Clock cycles stepped (the telemetry sampler derives cycles/s
     /// from this).
     cycles: scanguard_obs::CounterHandle,
-    /// Dirty-net frontier size at the start of each settle.
+    /// Pending cells at the start of each settle.
     frontier: scanguard_obs::HistogramHandle,
 }
 
@@ -126,11 +109,7 @@ impl<'a> Simulator<'a> {
             retention: vec![Logic::X; netlist.cell_count()],
             next_ff: vec![Logic::X; netlist.cell_count()],
             ibuf: vec![Logic::X; tables.max_fanin],
-            dirty: vec![false; netlist.net_count()],
-            dirty_list: Vec::new(),
-            all_dirty: true,
-            queued: vec![false; tables.comb_len()],
-            heap: std::collections::BinaryHeap::new(),
+            work: Worklist::new(tables.comb_len()),
             tables,
             domain_of: vec![DomainId::ALWAYS_ON; netlist.cell_count()],
             domains: vec![Domain::new("always_on", true)],
@@ -143,18 +122,16 @@ impl<'a> Simulator<'a> {
     }
 
     /// Starts recording incremental-settle statistics into `rec`'s
-    /// metrics registry: `sim.settle.sparse` / `sim.settle.full`
-    /// (settles per strategy), `sim.cell_evals` (combinational
-    /// evaluations), `sim.cycles` (clock steps) and the
-    /// `sim.settle.frontier` histogram (dirty-net frontier size per
+    /// metrics registry: `sim.settles` (settle passes),
+    /// `sim.cell_evals` (combinational evaluations), `sim.cycles` (clock
+    /// steps) and the `sim.settle.frontier` histogram (pending cells per
     /// settle). Handles are resolved here, once — the per-settle cost
     /// is a handful of relaxed atomic adds, with no allocation
     /// (asserted by the `zero_alloc` integration test), and simulation
     /// semantics are untouched.
     pub fn attach_obs(&mut self, rec: &scanguard_obs::Recorder) {
         self.obs = Some(SimObs {
-            settle_sparse: rec.counter("sim.settle.sparse"),
-            settle_full: rec.counter("sim.settle.full"),
+            settles: rec.counter("sim.settles"),
             cell_evals: rec.counter("sim.cell_evals"),
             cycles: rec.counter("sim.cycles"),
             frontier: rec.histogram("sim.settle.frontier"),
@@ -180,7 +157,7 @@ impl<'a> Simulator<'a> {
         self.stuck.clear();
         // Formerly-stuck nets must revert to their drivers' outputs even
         // though no input net changed.
-        self.all_dirty = true;
+        self.work.mark_all();
     }
 
     fn stuck_level(&self, net: NetId) -> Option<Logic> {
@@ -246,7 +223,7 @@ impl<'a> Simulator<'a> {
         // Combinational cells in the domain change output (to or from X)
         // with no input-net change, so the incremental settle must visit
         // everything once.
-        self.all_dirty = true;
+        self.work.mark_all();
         if !on {
             for (cell_id, cell) in self.netlist.cells() {
                 if self.domain_of[cell_id.index()] == id && cell.kind().is_sequential() {
@@ -310,16 +287,13 @@ impl<'a> Simulator<'a> {
         self.write_net(net, value);
     }
 
-    /// Writes a net value, flagging it for the incremental settle when
-    /// it actually changed.
+    /// Writes a net value, marking its loads for the incremental settle
+    /// when it actually changed.
     fn write_net(&mut self, net: NetId, value: Logic) {
         let i = net.index();
         if self.values[i] != value {
             self.values[i] = value;
-            if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.dirty_list.push(i as u32);
-            }
+            self.work.mark_loads(&self.tables, i);
         }
     }
 
@@ -431,37 +405,34 @@ impl<'a> Simulator<'a> {
     /// register values, accumulating switching energy for every net that
     /// changes.
     ///
-    /// The pass is incremental: a cell is evaluated only when one of its
-    /// input nets changed since the last settle (every evaluation is a
-    /// pure function of the inputs, so an unchanged cone cannot produce
-    /// a new output). Events that invalidate outputs without touching
-    /// inputs — power switching, [`clear_stuck`](Self::clear_stuck) —
-    /// force one full pass.
+    /// The pass is event-driven: a cell is evaluated only when one of
+    /// its input nets changed since the last settle (every evaluation is
+    /// a pure function of the inputs, so an unchanged cone cannot
+    /// produce a new output), lowest topological position first. Events
+    /// that invalidate outputs without touching inputs — power
+    /// switching, [`clear_stuck`](Self::clear_stuck) — mark every cell,
+    /// so the next settle is one full pass.
     pub fn settle(&mut self) {
-        // With a small change frontier the event-driven walk wins; past
-        // that, a linear flag-checking scan over the topological order
-        // has better constants. Either way the evaluated cells — and the
-        // order they are evaluated in — are identical.
-        const SPARSE_LIMIT: usize = 32;
-        if self.all_dirty || self.dirty_list.len() >= SPARSE_LIMIT {
-            if let Some(o) = &self.obs {
-                o.settle_full.inc();
-                o.frontier.record(self.dirty_list.len() as u64);
+        if let Some(o) = &self.obs {
+            o.settles.inc();
+            o.frontier.record(self.work.pending());
+        }
+        let mut evals = 0u64;
+        while let Some(pos) = self.work.pop() {
+            evals += 1;
+            if let Some(out) = self.eval_pos(pos) {
+                self.work.mark_loads(&self.tables, out);
             }
-            self.settle_full();
-        } else {
-            if let Some(o) = &self.obs {
-                o.settle_sparse.inc();
-                o.frontier.record(self.dirty_list.len() as u64);
-            }
-            self.settle_sparse();
+        }
+        if let Some(o) = &self.obs {
+            o.cell_evals.add(evals);
         }
     }
 
-    /// Evaluates one combinational cell by its topological position
-    /// (shared by both settle paths); returns the cell's output net
-    /// index when the output changed. All metadata comes from the
-    /// struct-of-arrays tables — no `Netlist` access on this path.
+    /// Evaluates one combinational cell by its topological position;
+    /// returns the cell's output net index when the output changed. All
+    /// metadata comes from the struct-of-arrays tables — no `Netlist`
+    /// access on this path.
     #[inline]
     fn eval_pos(&mut self, pos: usize) -> Option<usize> {
         let ins = self.tables.c_inputs(pos);
@@ -497,80 +468,6 @@ impl<'a> Simulator<'a> {
         }
         self.values[out] = new;
         Some(out)
-    }
-
-    /// The linear settle: walk the whole topological order, evaluating
-    /// cells with a changed input (or everything when `all_dirty`).
-    fn settle_full(&mut self) {
-        let all = self.all_dirty;
-        let mut evals = 0u64;
-        for pos in 0..self.tables.comb_len() {
-            if !all {
-                let mut any = false;
-                for src in self.tables.c_inputs(pos) {
-                    if self.dirty[self.tables.c_ins[src] as usize] {
-                        any = true;
-                        break;
-                    }
-                }
-                if !any {
-                    continue;
-                }
-            }
-            evals += 1;
-            if let Some(out) = self.eval_pos(pos) {
-                self.dirty[out] = true;
-            }
-        }
-        if let Some(o) = &self.obs {
-            o.cell_evals.add(evals);
-        }
-        // Every flag set before or during this pass has been consumed
-        // (loads follow drivers in topological order).
-        self.dirty.fill(false);
-        self.dirty_list.clear();
-        self.all_dirty = false;
-    }
-
-    /// The event-driven settle: seed a queue with the loads of the dirty
-    /// nets and walk it in topological order, enqueueing further loads
-    /// only when an output actually changes. Evaluates the same cells in
-    /// the same order as [`settle_full`](Self::settle_full) — it just
-    /// never visits the quiet ones.
-    fn settle_sparse(&mut self) {
-        let mut heap = std::mem::take(&mut self.heap);
-        for k in 0..self.dirty_list.len() {
-            let net = self.dirty_list[k] as usize;
-            self.dirty[net] = false;
-            for j in 0..self.tables.fanout[net].len() {
-                let pos = self.tables.fanout[net][j];
-                if !self.queued[pos as usize] {
-                    self.queued[pos as usize] = true;
-                    heap.push(std::cmp::Reverse(pos));
-                }
-            }
-        }
-        self.dirty_list.clear();
-        let mut evals = 0u64;
-        while let Some(std::cmp::Reverse(pos)) = heap.pop() {
-            // Safe to unqueue on pop: loads sit strictly later in the
-            // topological order, so a popped cell can never be re-pushed.
-            self.queued[pos as usize] = false;
-            evals += 1;
-            if let Some(out) = self.eval_pos(pos as usize) {
-                for j in 0..self.tables.fanout[out].len() {
-                    let succ = self.tables.fanout[out][j];
-                    if !self.queued[succ as usize] {
-                        self.queued[succ as usize] = true;
-                        heap.push(std::cmp::Reverse(succ));
-                    }
-                }
-            }
-        }
-        self.heap = heap;
-        if let Some(o) = &self.obs {
-            o.cell_evals.add(evals);
-        }
     }
 
     /// Advances one clock cycle: settle, capture, commit, settle.
@@ -620,10 +517,7 @@ impl<'a> Simulator<'a> {
                     self.dynamic_pj += self.tables.s_toggle_pj[s];
                 }
                 self.values[out] = new;
-                if !self.dirty[out] {
-                    self.dirty[out] = true;
-                    self.dirty_list.push(out as u32);
-                }
+                self.work.mark_loads(&self.tables, out);
             }
         }
         self.cycles += 1;
@@ -927,7 +821,7 @@ mod tests {
     fn incremental_settle_matches_direct_evaluation() {
         // After an arbitrary mix of stimulus, stuck forcing and power
         // events, every powered combinational cell's output must equal a
-        // direct evaluation of its current inputs — i.e. the dirty-flag
+        // direct evaluation of its current inputs — i.e. the worklist
         // bookkeeping never skips a cell that needed re-evaluation.
         let (nl, f0, f1) = shifter();
         let l = lib();
@@ -974,16 +868,16 @@ mod tests {
 
     #[test]
     fn mixed_po_and_seq_fanout_survives_the_sparse_worklist() {
-        // Audit regression for the incremental dirty-net worklist: a
+        // Audit regression for the incremental settle worklist: a
         // combinational cell whose output feeds BOTH a primary output
         // and a sequential cell gets no combinational fan-out entry for
         // either load (`fanout` only lists comb topo positions), so the
-        // sparse settle never re-queues anything for it. That is
-        // correct — eval writes the value plane immediately, and both
-        // the PO read and the capture loop read the value plane
-        // directly, not the worklist — but nothing pinned it. This
-        // drives single-net frontiers (guaranteeing the sparse path)
-        // and checks the PO and the captured flop value every cycle.
+        // settle never marks anything for it. That is correct — eval
+        // writes the value plane immediately, and both the PO read and
+        // the capture loop read the value plane directly, not the
+        // worklist — but nothing pinned it. This drives single-net
+        // frontiers and checks the PO and the captured flop value every
+        // cycle.
         let mut b = NetlistBuilder::new("shared_load");
         let a = b.input("a");
         let c = b.input("c");
@@ -996,10 +890,9 @@ mod tests {
         let mut sim = Simulator::new(&nl, &l);
         sim.set_port("a", Logic::Zero).unwrap();
         sim.set_port("c", Logic::Zero).unwrap();
-        sim.step(); // flush the initial all-dirty full pass
+        sim.step(); // flush the initial full pass
         for i in 0..8 {
-            // Exactly one input flips per cycle: frontier of 1, far
-            // below the sparse limit.
+            // Exactly one input flips per cycle: a frontier of 1.
             let level = Logic::from(i % 2 == 0);
             if i % 2 == 0 {
                 sim.set_port("a", level).unwrap();
@@ -1011,7 +904,7 @@ mod tests {
             assert_eq!(
                 sim.port_value("g").unwrap(),
                 expect,
-                "PO stale after sparse settle, cycle {i}"
+                "PO stale after an event-driven settle, cycle {i}"
             );
             sim.step();
             assert_eq!(

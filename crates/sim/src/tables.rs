@@ -51,9 +51,11 @@ pub(crate) struct SimTables {
     pub s_toggle_pj: Vec<f64>,
     /// Per-flop clock-pin energy, pJ.
     pub s_clock_pj: Vec<f64>,
-    /// Combinational loads of each net, as positions into the `c_*`
-    /// arrays (the sparse settle's fan-out lists).
-    pub fanout: Vec<Vec<u32>>,
+    /// CSR offsets into [`Self::fanout`] (length `net_count + 1`).
+    pub fanout_off: Vec<u32>,
+    /// Flattened combinational loads of each net, as positions into the
+    /// `c_*` arrays, ascending per net (the settle worklist's fan-out).
+    pub fanout: Vec<u32>,
 }
 
 impl SimTables {
@@ -83,11 +85,11 @@ impl SimTables {
             s_cell: Vec::new(),
             s_toggle_pj: Vec::new(),
             s_clock_pj: Vec::new(),
-            fanout: vec![Vec::new(); netlist.net_count()],
+            fanout_off: vec![0; netlist.net_count() + 1],
+            fanout: Vec::new(),
         };
         t.c_in_off.push(0);
-        for (pos, &cell_id) in order.iter().enumerate() {
-            let pos = u32::try_from(pos).expect("combinational cell count fits u32");
+        for &cell_id in order {
             let cell = netlist.cell(cell_id);
             let params = lib.params(cell.kind());
             t.c_kind.push(cell.kind());
@@ -99,10 +101,25 @@ impl SimTables {
             for &inp in cell.inputs() {
                 let i = u32::try_from(inp.index()).expect("net index fits u32");
                 t.c_ins.push(i);
-                t.fanout[inp.index()].push(pos);
+                t.fanout_off[inp.index() + 1] += 1;
             }
             t.c_in_off
                 .push(u32::try_from(t.c_ins.len()).expect("input count fits u32"));
+        }
+        // Prefix-sum the load counts into offsets, then fill each net's
+        // slice in position order.
+        for n in 1..t.fanout_off.len() {
+            t.fanout_off[n] += t.fanout_off[n - 1];
+        }
+        let mut next = t.fanout_off.clone();
+        t.fanout = vec![0; t.c_ins.len()];
+        for pos in 0..n_comb {
+            let p = u32::try_from(pos).expect("combinational cell count fits u32");
+            for src in t.c_inputs(pos) {
+                let net = t.c_ins[src] as usize;
+                t.fanout[next[net] as usize] = p;
+                next[net] += 1;
+            }
         }
         for (cell_id, cell) in netlist.cells() {
             if !cell.kind().is_sequential() {
@@ -140,6 +157,12 @@ impl SimTables {
     #[inline]
     pub(crate) fn c_inputs(&self, pos: usize) -> std::ops::Range<usize> {
         self.c_in_off[pos] as usize..self.c_in_off[pos + 1] as usize
+    }
+
+    /// Combinational loads of net `net`, as ascending positions.
+    #[inline]
+    pub(crate) fn loads(&self, net: usize) -> &[u32] {
+        &self.fanout[self.fanout_off[net] as usize..self.fanout_off[net + 1] as usize]
     }
 
     /// Input-net range of sequential cell `pos`.

@@ -19,6 +19,7 @@
 //! [`Simulator`]: crate::Simulator
 
 use crate::tables::SimTables;
+use crate::worklist::Worklist;
 use scanguard_netlist::{CellId, CellLibrary, Logic, LogicWord, NetId, Netlist};
 
 /// A 64-machine bit-parallel cycle simulator over a validated
@@ -63,11 +64,9 @@ pub struct WideSimulator<'a> {
     next_xs: Vec<u64>,
     /// Scratch buffer for gathering cell input words.
     wbuf: Vec<LogicWord>,
-    /// Per-net change flags driving the incremental settle (same
-    /// contract as the scalar simulator's `dirty` plane).
-    dirty: Vec<bool>,
-    /// Forces the next settle to evaluate everything.
-    all_dirty: bool,
+    /// Cells with a changed input since the last settle (the same
+    /// event-driven worklist the scalar simulator settles with).
+    work: Worklist,
     /// Per-net stuck-at planes: `stuck_mask[net]` selects the lanes
     /// forced on that net, `stuck_ones[net]` the level each forced lane
     /// is held at.
@@ -88,6 +87,8 @@ struct WideObs {
     /// Wide gate evaluations across all settles (each one serves 64
     /// lanes).
     cell_evals: scanguard_obs::CounterHandle,
+    /// Pending cells at the start of each settle.
+    frontier: scanguard_obs::HistogramHandle,
     /// Clock cycles stepped (all 64 lanes advance together, so one
     /// step is one cycle here, not 64).
     cycles: scanguard_obs::CounterHandle,
@@ -112,8 +113,7 @@ impl<'a> WideSimulator<'a> {
             next_ones: vec![0; tables.seq_len()],
             next_xs: vec![!0; tables.seq_len()],
             wbuf: vec![LogicWord::ALL_X; tables.max_fanin],
-            dirty: vec![false; nets],
-            all_dirty: true,
+            work: Worklist::new(tables.comb_len()),
             stuck_mask: vec![0; nets],
             stuck_ones: vec![0; nets],
             stuck_any: false,
@@ -132,14 +132,16 @@ impl<'a> WideSimulator<'a> {
     /// Starts recording wide-settle statistics into `rec`'s metrics
     /// registry: `sim.wide.settles` (settle passes),
     /// `sim.wide.cell_evals` (word-level gate evaluations — each one
-    /// serves all 64 lanes) and `sim.wide.cycles` (clock steps). All
-    /// are commutative sums over deterministic runs, so snapshots stay
-    /// thread-count-blind when wide simulations are fanned out over a
-    /// pool.
+    /// serves all 64 lanes), `sim.wide.cycles` (clock steps) and the
+    /// `sim.wide.settle.frontier` histogram (pending cells per settle).
+    /// All are commutative sums over deterministic runs, so snapshots
+    /// stay thread-count-blind when wide simulations are fanned out over
+    /// a pool.
     pub fn attach_obs(&mut self, rec: &scanguard_obs::Recorder) {
         self.obs = Some(WideObs {
             settles: rec.counter("sim.wide.settles"),
             cell_evals: rec.counter("sim.wide.cell_evals"),
+            frontier: rec.histogram("sim.wide.settle.frontier"),
             cycles: rec.counter("sim.wide.cycles"),
         });
     }
@@ -186,7 +188,7 @@ impl<'a> WideSimulator<'a> {
         self.stuck_any = false;
         // Formerly-stuck nets must revert to their drivers' outputs even
         // though no input net changed.
-        self.all_dirty = true;
+        self.work.mark_all();
     }
 
     /// Broadcasts one level to all 64 lanes of a primary input net.
@@ -242,13 +244,13 @@ impl<'a> WideSimulator<'a> {
         }
     }
 
-    /// Writes a net word, flagging it for the incremental settle when
-    /// it actually changed.
+    /// Writes a net word, marking its loads for the incremental settle
+    /// when it actually changed.
     fn write_net(&mut self, i: usize, w: LogicWord) {
         if self.ones[i] != w.ones || self.xs[i] != w.xs {
             self.ones[i] = w.ones;
             self.xs[i] = w.xs;
-            self.dirty[i] = true;
+            self.work.mark_loads(&self.tables, i);
         }
     }
 
@@ -289,40 +291,27 @@ impl<'a> WideSimulator<'a> {
     /// Settles the combinational logic for the current inputs and
     /// register words across all 64 lanes.
     ///
-    /// The pass is incremental with the same contract as the scalar
-    /// simulator's linear settle: a cell is evaluated only when one of
-    /// its input nets changed in any lane since the last settle, and
-    /// cells are visited in topological order so every flag set during
-    /// the pass is consumed by it. (During scan shifting — the wide
-    /// engine's workload — most of the chain toggles every cycle, so
-    /// the event-driven sparse walk would buy nothing here.)
+    /// The pass is event-driven with the same contract as the scalar
+    /// simulator's settle: a cell is evaluated only when one of its
+    /// input nets changed in any lane since the last settle, lowest
+    /// topological position first, so its cost follows the cells with
+    /// work rather than the size of the netlist. A back-to-back settle
+    /// evaluates nothing.
     pub fn settle(&mut self) {
-        let all = self.all_dirty;
+        if let Some(o) = &self.obs {
+            o.settles.inc();
+            o.frontier.record(self.work.pending());
+        }
         let mut evals = 0u64;
-        for pos in 0..self.tables.comb_len() {
-            if !all {
-                let mut any = false;
-                for src in self.tables.c_inputs(pos) {
-                    if self.dirty[self.tables.c_ins[src] as usize] {
-                        any = true;
-                        break;
-                    }
-                }
-                if !any {
-                    continue;
-                }
-            }
+        while let Some(pos) = self.work.pop() {
             evals += 1;
             if let Some(out) = self.eval_pos(pos) {
-                self.dirty[out] = true;
+                self.work.mark_loads(&self.tables, out);
             }
         }
         if let Some(o) = &self.obs {
-            o.settles.inc();
             o.cell_evals.add(evals);
         }
-        self.dirty.fill(false);
-        self.all_dirty = false;
     }
 
     /// Advances one clock cycle in all 64 lanes: settle, capture,

@@ -39,14 +39,15 @@ fn gate_strategy() -> impl Strategy<Value = GateRecipe> {
 }
 
 /// Builds a DAG: each gate may use primary inputs or earlier gate
-/// outputs. Returns the netlist and, for the reference model, the
+/// outputs. Returns the netlist, its nets (the inputs, then each gate's
+/// output in creation order) and, for the reference model, the
 /// structure `(kind, input net indices)` per gate in creation order.
 type GateStructure = Vec<(GateKind, Vec<usize>)>;
 
 fn build_random(n_inputs: usize, recipes: &[GateRecipe]) -> (Netlist, Vec<NetId>, GateStructure) {
     let mut b = NetlistBuilder::new("rand");
     let inputs = b.input_bus("i", n_inputs);
-    let mut pool: Vec<NetId> = inputs.clone();
+    let mut pool: Vec<NetId> = inputs;
     let mut structure = Vec::new();
     for r in recipes {
         let kind = COMB_KINDS[r.kind];
@@ -66,21 +67,22 @@ fn build_random(n_inputs: usize, recipes: &[GateRecipe]) -> (Netlist, Vec<NetId>
     b.output("y", last);
     // Every intermediate is implicitly reachable or not; both are legal.
     let nl = b.finish().expect("random DAG is acyclic by construction");
-    (nl, inputs, structure)
+    (nl, pool, structure)
 }
 
-/// Reference evaluation of the same structure.
+/// Reference evaluation of the same structure: the value of every net,
+/// in [`build_random`]'s net order.
 fn reference_eval(
     n_inputs: usize,
     structure: &[(GateKind, Vec<usize>)],
     input_values: &[Logic],
-) -> Logic {
+) -> Vec<Logic> {
     let mut values: Vec<Logic> = input_values[..n_inputs].to_vec();
     for (kind, idxs) in structure {
         let ins: Vec<Logic> = idxs.iter().map(|&i| values[i]).collect();
         values.push(kind.eval(&ins));
     }
-    *values.last().expect("at least the inputs")
+    values
 }
 
 fn logic_strategy() -> impl Strategy<Value = Logic> {
@@ -91,34 +93,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The levelized simulator computes exactly what direct recursive
-    /// evaluation of the DAG computes — including X propagation.
+    /// evaluation of the DAG computes — including X propagation — on
+    /// every net, both from the first (full) settle and from an
+    /// incremental settle after the inputs change.
     #[test]
     fn random_dag_matches_reference(
-        recipes in proptest::collection::vec(gate_strategy(), 1..40),
+        recipes in proptest::collection::vec(gate_strategy(), 1..200),
         input_values in proptest::collection::vec(logic_strategy(), 4),
+        next_values in proptest::collection::vec(logic_strategy(), 4),
     ) {
-        let (nl, inputs, structure) = build_random(4, &recipes);
+        let (nl, nets, structure) = build_random(4, &recipes);
         let lib = CellLibrary::st120nm();
         let mut sim = Simulator::new(&nl, &lib);
-        for (&net, &v) in inputs.iter().zip(&input_values) {
-            sim.set_net(net, v);
+        for values in [&input_values, &next_values] {
+            for (&net, &v) in nets.iter().zip(values) {
+                sim.set_net(net, v);
+            }
+            sim.settle();
+            let expected = reference_eval(4, &structure, values);
+            for (&net, &want) in nets.iter().zip(&expected) {
+                prop_assert_eq!(sim.value(net), want, "net {}", net);
+            }
         }
-        sim.settle();
-        let expected = reference_eval(4, &structure, &input_values);
-        prop_assert_eq!(sim.port_value("y").expect("port y"), expected);
     }
 
     /// Settling is idempotent: a second settle changes nothing and costs
     /// no energy.
     #[test]
     fn settle_is_a_fixpoint(
-        recipes in proptest::collection::vec(gate_strategy(), 1..30),
+        recipes in proptest::collection::vec(gate_strategy(), 1..200),
         input_values in proptest::collection::vec(logic_strategy(), 4),
     ) {
-        let (nl, inputs, _) = build_random(4, &recipes);
+        let (nl, nets, _) = build_random(4, &recipes);
         let lib = CellLibrary::st120nm();
         let mut sim = Simulator::new(&nl, &lib);
-        for (&net, &v) in inputs.iter().zip(&input_values) {
+        for (&net, &v) in nets.iter().zip(&input_values) {
             sim.set_net(net, v);
         }
         sim.settle();
