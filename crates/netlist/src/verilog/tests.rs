@@ -45,8 +45,7 @@ fn round_trip(nl: &Netlist) {
 
 // ---------------------------------------------------------------- round trip
 
-#[test]
-fn round_trips_scan_sample() {
+fn scan_sample() -> Netlist {
     let mut b = NetlistBuilder::new("samp");
     let a = b.input("a");
     let c = b.input("b");
@@ -56,11 +55,10 @@ fn round_trips_scan_sample() {
     let (q, _) = b.rsdff("r0", x, si, se);
     let m = b.mux2(se, q, x);
     b.output("y", m);
-    round_trip(&b.finish().unwrap());
+    b.finish().unwrap()
 }
 
-#[test]
-fn round_trips_every_gate_kind() {
+fn every_gate_kind() -> Netlist {
     let mut b = NetlistBuilder::new("kinds");
     let a = b.input("a");
     let c = b.input("b");
@@ -85,11 +83,10 @@ fn round_trips_every_gate_kind() {
     let (s0, _) = b.sdff("s0", r0, si, se);
     let (r1, _) = b.rsdff("rs0", s0, si, se);
     b.output("y", r1);
-    round_trip(&b.finish().unwrap());
+    b.finish().unwrap()
 }
 
-#[test]
-fn round_trips_escaped_and_pattern_names() {
+fn escaped_and_pattern_names() -> Netlist {
     let mut b = NetlistBuilder::new("tricky");
     let d = b.input_bus("d", 3); // escaped names d[0]..d[2]
     let x = b.xor2(d[0], d[1]);
@@ -100,11 +97,10 @@ fn round_trips_escaped_and_pattern_names() {
     let y = b.and2(g_pat, d[2]);
     b.output_bus("q", &[y, x]);
     b.output("plain", g_pat);
-    round_trip(&b.finish().unwrap());
+    b.finish().unwrap()
 }
 
-#[test]
-fn round_trips_feedback_and_port_aliases() {
+fn feedback_and_port_aliases() -> Netlist {
     let mut b = NetlistBuilder::new("fb");
     let a = b.input("a");
     let fb = b.net("loop");
@@ -113,17 +109,60 @@ fn round_trips_feedback_and_port_aliases() {
     b.connect(fb, q); // anonymous Buf closing the loop
     b.output("q_out", q); // alias: port name differs from net name
     b.output("state", q); // port name equals the net name: no alias
-    round_trip(&b.finish().unwrap());
+    b.finish().unwrap()
 }
 
-#[test]
-fn round_trips_multiple_outputs_on_one_net() {
+fn multiple_outputs_on_one_net() -> Netlist {
     let mut b = NetlistBuilder::new("fanout");
     let a = b.input("a");
     let y = b.not(a);
     b.output("y0", y);
     b.output("y1", y);
-    round_trip(&b.finish().unwrap());
+    b.finish().unwrap()
+}
+
+/// Hand-built names the exporter must demote or escape: two nets and
+/// two cells sharing a name, a name taken by another entry's anonymous
+/// pattern, and names equal to their own pattern.
+fn duplicate_and_colliding_names() -> Netlist {
+    let mut b = NetlistBuilder::new("dups");
+    let a = b.input("a"); // net 0
+    let (x0, _) = b.named_cell("twin", GateKind::Not, vec![a]); // net 1, cell 0
+    let (x1, _) = b.named_cell("twin", GateKind::Buf, vec![x0]); // net 2, cell 1: demoted
+    let (x2, _) = b.named_cell("n5", GateKind::Not, vec![x1]); // net 3: n5 is anonymous
+    let x3 = b.and2(x1, x2); // net 4, cell 3
+    let anon = b.not(x3); // net 5, cell 4
+    let (x4, _) = b.named_cell("n6", GateKind::Buf, vec![anon]); // net 6: own pattern
+    let (x5, _) = b.named_cell("g4", GateKind::Not, vec![x4]); // cell 6: g4 is anonymous
+    let (x6, _) = b.named_cell("g7", GateKind::Buf, vec![x5]); // cell 7: own pattern
+    b.output("y", x6);
+    b.output("z", x2);
+    b.finish().unwrap()
+}
+
+#[test]
+fn round_trips_scan_sample() {
+    round_trip(&scan_sample());
+}
+
+#[test]
+fn round_trips_every_gate_kind() {
+    round_trip(&every_gate_kind());
+}
+
+#[test]
+fn round_trips_escaped_and_pattern_names() {
+    round_trip(&escaped_and_pattern_names());
+}
+
+#[test]
+fn round_trips_feedback_and_port_aliases() {
+    round_trip(&feedback_and_port_aliases());
+}
+
+#[test]
+fn round_trips_multiple_outputs_on_one_net() {
+    round_trip(&multiple_outputs_on_one_net());
 }
 
 #[test]
@@ -333,6 +372,70 @@ fn sky130_fixture_maps_aliases() {
 
 // ------------------------------------------------------------- golden errors
 
+/// The sources of the `golden_error_*` cases, by case name.
+const GOLDEN_ERRORS: [(&str, &str); 13] = [
+    (
+        "unknown_cell",
+        "module m (a, y);\ninput a;\noutput y;\nwire y;\nAND9 g0 (.Y(y), .A(a));\nendmodule",
+    ),
+    (
+        "unknown_pin",
+        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Z(y), .A(a));\nendmodule",
+    ),
+    (
+        "multiple_drivers",
+        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(y), .A(a));\nBUF g1 (.Y(y), .A(a));\nendmodule",
+    ),
+    (
+        "drives_input_port",
+        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(a), .A(y));\nendmodule",
+    ),
+    (
+        "undriven_output",
+        "module m (a, y);\ninput a;\noutput y;\nendmodule",
+    ),
+    (
+        "undriven_wire",
+        "module m (a, y);\ninput a;\noutput y;\nwire w;\nwire y;\nAND2 g0 (.Y(y), .A(a), .B(w));\nendmodule",
+    ),
+    (
+        "combinational_loop",
+        "module m (y);\noutput y;\nwire x;\nwire y;\nINV g0 (.Y(x), .A(y));\nINV g1 (.Y(y), .A(x));\nendmodule",
+    ),
+    (
+        "reserved_identifier",
+        "module m (a, y);\ninput a;\noutput y;\nwire clk;\nBUF g0 (.Y(clk), .A(a));\nBUF g1 (.Y(y), .A(clk));\nendmodule",
+    ),
+    (
+        "duplicate_wire",
+        "module m (a);\ninput a;\nwire w;\nwire w;\nendmodule",
+    ),
+    (
+        "pin_connected_twice",
+        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.A(a), .A(a), .Y(y));\nendmodule",
+    ),
+    (
+        "undeclared_header_port",
+        "module m (a, ghost);\ninput a;\nendmodule",
+    ),
+    (
+        "port_missing_from_header",
+        "module m (a);\ninput a;\ninput b;\nendmodule",
+    ),
+    (
+        "duplicate_port",
+        "module m (a, a);\ninput a;\nendmodule",
+    ),
+];
+
+fn error_src(name: &str) -> &'static str {
+    GOLDEN_ERRORS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, src)| *src)
+        .expect("a golden error case")
+}
+
 /// Asserts `src` fails with a message containing `needle` at `line`.
 fn assert_error(src: &str, needle: &str, line: usize) {
     let e = from_verilog(src).unwrap_err();
@@ -347,44 +450,28 @@ fn assert_error(src: &str, needle: &str, line: usize) {
 
 #[test]
 fn golden_error_unknown_cell() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nAND9 g0 (.Y(y), .A(a));\nendmodule",
-        "unknown cell `AND9`",
-        5,
-    );
+    assert_error(error_src("unknown_cell"), "unknown cell `AND9`", 5);
 }
 
 #[test]
 fn golden_error_unknown_pin() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Z(y), .A(a));\nendmodule",
-        "has no pin `Z`",
-        5,
-    );
+    assert_error(error_src("unknown_pin"), "has no pin `Z`", 5);
 }
 
 #[test]
 fn golden_error_multiple_drivers() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(y), .A(a));\nBUF g1 (.Y(y), .A(a));\nendmodule",
-        "more than one driver",
-        6,
-    );
+    assert_error(error_src("multiple_drivers"), "more than one driver", 6);
 }
 
 #[test]
 fn golden_error_drives_input_port() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(a), .A(y));\nendmodule",
-        "drives the input port",
-        5,
-    );
+    assert_error(error_src("drives_input_port"), "drives the input port", 5);
 }
 
 #[test]
 fn golden_error_undriven_output() {
     assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nendmodule",
+        error_src("undriven_output"),
         "output port `y` is never driven",
         3,
     );
@@ -394,26 +481,18 @@ fn golden_error_undriven_output() {
 fn golden_error_undriven_wire() {
     // The floating wire is caught by revalidate and reported at the
     // module declaration.
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire w;\nwire y;\nAND2 g0 (.Y(y), .A(a), .B(w));\nendmodule",
-        "has no driver",
-        1,
-    );
+    assert_error(error_src("undriven_wire"), "has no driver", 1);
 }
 
 #[test]
 fn golden_error_combinational_loop() {
-    assert_error(
-        "module m (y);\noutput y;\nwire x;\nwire y;\nINV g0 (.Y(x), .A(y));\nINV g1 (.Y(y), .A(x));\nendmodule",
-        "combinational loop",
-        1,
-    );
+    assert_error(error_src("combinational_loop"), "combinational loop", 1);
 }
 
 #[test]
 fn golden_error_reserved_identifier() {
     assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire clk;\nBUF g0 (.Y(clk), .A(a));\nBUF g1 (.Y(y), .A(clk));\nendmodule",
+        error_src("reserved_identifier"),
         "reserved for the implicit clock",
         4,
     );
@@ -421,17 +500,13 @@ fn golden_error_reserved_identifier() {
 
 #[test]
 fn golden_error_duplicate_wire() {
-    assert_error(
-        "module m (a);\ninput a;\nwire w;\nwire w;\nendmodule",
-        "declared twice",
-        4,
-    );
+    assert_error(error_src("duplicate_wire"), "declared twice", 4);
 }
 
 #[test]
 fn golden_error_pin_connected_twice() {
     assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.A(a), .A(a), .Y(y));\nendmodule",
+        error_src("pin_connected_twice"),
         "pin `A` connected twice",
         5,
     );
@@ -440,7 +515,7 @@ fn golden_error_pin_connected_twice() {
 #[test]
 fn golden_error_undeclared_header_port() {
     assert_error(
-        "module m (a, ghost);\ninput a;\nendmodule",
+        error_src("undeclared_header_port"),
         "no direction declaration",
         1,
     );
@@ -449,7 +524,7 @@ fn golden_error_undeclared_header_port() {
 #[test]
 fn golden_error_port_missing_from_header() {
     assert_error(
-        "module m (a);\ninput a;\ninput b;\nendmodule",
+        error_src("port_missing_from_header"),
         "missing from the module port list",
         3,
     );
@@ -457,11 +532,7 @@ fn golden_error_port_missing_from_header() {
 
 #[test]
 fn golden_error_duplicate_port() {
-    assert_error(
-        "module m (a, a);\ninput a;\nendmodule",
-        "duplicate port `a`",
-        1,
-    );
+    assert_error(error_src("duplicate_port"), "duplicate port `a`", 1);
 }
 
 // --------------------------------------------------------------------- fuzz
@@ -566,4 +637,186 @@ fn identifier_mangling_keeps_errors_located() {
     let mutated = base.replacen("XOR2", "XYZ2", 1);
     let e = from_verilog(&mutated).unwrap_err();
     assert!(e.message.contains("unknown cell"), "{e}");
+}
+
+// ------------------------------------------------------------------ goldens
+//
+// Exact outputs captured from the importer and exporter before the
+// streaming rewrite. Round-trip checks cannot see a change made the
+// same way on both sides of the canonical form, and the error tests
+// above check only a message substring and the line; these pin every
+// byte.
+
+/// Bytes substituted at every position of [`fuzz_base`].
+const SUBSTITUTES: [u8; 6] = [b'%', b';', b'(', b'\\', b' ', b'\n'];
+
+/// One golden line: `label<TAB>ok`, or the error's line, column,
+/// message and snippet (the last two in debug form, so tabs, quotes
+/// and newlines stay unambiguous).
+fn outcome_line(label: &str, src: &str) -> String {
+    match from_verilog(src) {
+        Ok(_) => format!("{label}\tok\n"),
+        Err(e) => format!(
+            "{label}\t{}\t{}\t{:?}\t{:?}\n",
+            e.line, e.col, e.message, e.snippet
+        ),
+    }
+}
+
+/// Every truncation prefix of [`fuzz_base`], every single-byte
+/// substitution from [`SUBSTITUTES`], and the `golden_error_*` sources.
+fn error_outcomes() -> String {
+    let base = fuzz_base();
+    let mut out = String::new();
+    for end in 0..=base.len() {
+        out += &outcome_line(&format!("trunc {end}"), &base[..end]);
+    }
+    for pos in 0..base.len() {
+        for &byte in &SUBSTITUTES {
+            let mut bytes = base.clone().into_bytes();
+            bytes[pos] = byte;
+            let src = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            out += &outcome_line(&format!("sub {pos} {:?}", byte as char), &src);
+        }
+    }
+    for (name, src) in GOLDEN_ERRORS {
+        out += &outcome_line(name, src);
+    }
+    out
+}
+
+#[test]
+fn parse_errors_match_goldens() {
+    let want = include_str!("goldens/errors.txt");
+    let got = error_outcomes();
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "golden line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "golden length");
+}
+
+/// The exported fixtures, by golden file name.
+fn export_fixtures() -> Vec<(&'static str, Netlist)> {
+    vec![
+        ("scan_sample.v", scan_sample()),
+        ("every_gate_kind.v", every_gate_kind()),
+        ("escaped_and_pattern_names.v", escaped_and_pattern_names()),
+        ("feedback_and_port_aliases.v", feedback_and_port_aliases()),
+        (
+            "multiple_outputs_on_one_net.v",
+            multiple_outputs_on_one_net(),
+        ),
+        (
+            "duplicate_and_colliding_names.v",
+            duplicate_and_colliding_names(),
+        ),
+        ("sky130_reexport.v", from_verilog(SKY130).unwrap()),
+        (
+            "scan_chain4_reexport.v",
+            from_verilog(include_str!("../../../../tests/fixtures/scan_chain4.v")).unwrap(),
+        ),
+    ]
+}
+
+fn export_golden(name: &str) -> &'static str {
+    match name {
+        "scan_sample.v" => include_str!("goldens/scan_sample.v"),
+        "every_gate_kind.v" => include_str!("goldens/every_gate_kind.v"),
+        "escaped_and_pattern_names.v" => include_str!("goldens/escaped_and_pattern_names.v"),
+        "feedback_and_port_aliases.v" => include_str!("goldens/feedback_and_port_aliases.v"),
+        "multiple_outputs_on_one_net.v" => include_str!("goldens/multiple_outputs_on_one_net.v"),
+        "duplicate_and_colliding_names.v" => {
+            include_str!("goldens/duplicate_and_colliding_names.v")
+        }
+        "sky130_reexport.v" => include_str!("goldens/sky130_reexport.v"),
+        "scan_chain4_reexport.v" => include_str!("goldens/scan_chain4_reexport.v"),
+        _ => unreachable!("every fixture has a golden"),
+    }
+}
+
+#[test]
+fn exports_match_goldens() {
+    for (name, nl) in export_fixtures() {
+        assert_eq!(to_verilog(&nl), export_golden(name), "{name}");
+    }
+}
+
+// ---------------------------------------------------------- location edges
+
+/// Asserts the exact location, message and snippet of `src`'s error.
+fn assert_located(src: &str, line: usize, col: usize, message: &str, snippet: &str) {
+    let e = from_verilog(src).unwrap_err();
+    assert_eq!(
+        (e.line, e.col, e.message.as_str(), e.snippet.as_str()),
+        (line, col, message, snippet),
+        "{e}"
+    );
+}
+
+#[test]
+fn lexical_error_after_a_parse_error_wins() {
+    // Line 2 misses its `;`, but the stray `%` on line 4 is reported:
+    // lexical errors take precedence wherever they are.
+    assert_located(
+        "module m (a);\ninput a\nwire w;\n  %\nendmodule\n",
+        4,
+        3,
+        "unexpected character `%`",
+        "  %",
+    );
+}
+
+#[test]
+fn crlf_source_counts_the_carriage_return_as_a_column() {
+    assert_located(
+        "module m (a);\r\ninput a;\r\nwire w wire x;\r\nendmodule\r\n",
+        3,
+        8,
+        "expected `;` after the wire declaration, found `wire`",
+        "wire w wire x;",
+    );
+    // An error at the end of a CRLF line points at the `\r`.
+    assert_located(
+        "module m (a);\r\ninput a;\r\nwire w\r\n",
+        4,
+        1,
+        "expected `;` after the wire declaration, found end of input",
+        "",
+    );
+}
+
+#[test]
+fn tab_indentation_counts_one_column_per_tab() {
+    assert_located(
+        "module m (a, y);\n\tinput a;\n\toutput y;\n\twire y;\n\t\tAND9 g0 (.Y(y), .A(a));\nendmodule\n",
+        5,
+        3,
+        "unknown cell `AND9` (not in the cell library or alias table)",
+        "\t\tAND9 g0 (.Y(y), .A(a));",
+    );
+}
+
+#[test]
+fn non_ascii_escaped_identifier_counts_byte_columns() {
+    // `ñ` is two bytes, so the `%` after it sits at byte column 15
+    // (character column 14).
+    assert_located(
+        "module m (a);\nwire \\ñame ; %\nendmodule\n",
+        2,
+        15,
+        "unexpected character `%`",
+        "wire \\ñame ; %",
+    );
+}
+
+#[test]
+fn error_at_end_of_input_points_past_the_last_byte() {
+    assert_located("module m (a);\ninput a;\n", 3, 1, "missing `endmodule`", "");
+    assert_located(
+        "module m (a);\ninput a;",
+        2,
+        9,
+        "missing `endmodule`",
+        "input a;",
+    );
 }
