@@ -14,9 +14,9 @@
 //! `input retain;` declarations and rejects any data use of the two
 //! names with a located error.
 
-use super::alias::{our_cell, pins, resolve_alias, AliasDef, Resolved, GLOBAL_IGNORE};
 use super::error::ParseError;
-use super::parse::{parse, Conns, Expr, Ident, Item, SourceModule};
+use super::parse::{parse, Ident, SourceModule};
+use super::resolve::{InPin, Origin, RCell};
 use crate::{GateKind, NetId, Netlist, NetlistError};
 use std::collections::{HashMap, HashSet};
 
@@ -66,43 +66,11 @@ pub fn from_verilog(src: &str) -> Result<Netlist, ParseError> {
     Elaborator::new(src, &module).run()
 }
 
-/// One input-pin reference of a resolved cell.
-#[derive(Clone, Copy)]
-enum InPin<'a> {
-    Net(Ident<'a>),
-    /// Explicitly or implicitly unconnected: tied to a shared constant 0.
-    Unconnected,
-    /// The output net of the previous cell in the same instance group
-    /// (used for synthesized `Q_N` inverters).
-    Prev,
-}
-
-/// A cell after master/pin resolution, before net allocation.
-struct RCell<'a> {
-    kind: GateKind,
-    ins: Vec<InPin<'a>>,
-    out: Option<Ident<'a>>,
-    name: Option<Ident<'a>>,
-    line: usize,
-    col: usize,
-}
-
-enum RItem<'a> {
-    Cells(Vec<RCell<'a>>),
-    Assign {
-        lhs: Ident<'a>,
-        cell: RCell<'a>,
-        /// `true` when the right-hand side is a bare identifier — the
-        /// shape that can be an output-port alias.
-        bare: bool,
-    },
-}
-
 struct Elaborator<'a> {
     src: &'a str,
     module: &'a SourceModule<'a>,
     nl: Netlist,
-    net_ids: HashMap<&'a str, NetId>,
+    net_ids: NetIds<'a>,
     tie0: Option<NetId>,
 }
 
@@ -112,46 +80,47 @@ impl<'a> Elaborator<'a> {
             src,
             module,
             nl: Netlist::new_raw(module.name.text.to_owned()),
-            net_ids: HashMap::new(),
+            net_ids: NetIds::with_capacity(module.wires.len() + module.inputs.len()),
             tie0: None,
         }
     }
 
-    fn err(&self, line: usize, col: usize, message: String) -> ParseError {
-        ParseError::at(self.src, line, col, message)
+    fn err(&self, pos: usize, message: String) -> ParseError {
+        ParseError::at(self.src, pos, message)
     }
 
     fn err_at(&self, id: &Ident<'a>, message: String) -> ParseError {
-        self.err(id.line, id.col, message)
+        self.err(id.pos, message)
     }
 
     fn run(mut self) -> Result<Netlist, ParseError> {
         self.check_header()?;
         self.declare_wires()?;
         self.declare_inputs()?;
-        let ritems = self.resolve_items()?;
-        let aliases = alias_set(&ritems, self.module);
-        let mut alias_nets: HashMap<&'a str, NetId> = HashMap::new();
-        for item in &ritems {
-            match item {
-                RItem::Cells(cells) => self.build_cells(cells)?,
-                RItem::Assign { lhs, cell, bare } => {
-                    if *bare && aliases.contains(lhs.text) {
-                        let rhs = match cell.ins[0] {
-                            InPin::Net(id) => id,
-                            _ => unreachable!("bare assign always has a net operand"),
-                        };
-                        let net = self.get_or_alloc(&rhs)?;
-                        alias_nets.insert(lhs.text, net);
-                    } else {
-                        self.build_cells(std::slice::from_ref(cell))?;
-                    }
+        if let Some(e) = &self.module.unresolved {
+            return Err(e.clone());
+        }
+        let cells = &self.module.cells;
+        let aliases = alias_set(cells, self.module, &self.net_ids);
+        let mut alias_nets: HashMap<&'a str, NetId> = HashMap::with_capacity(aliases.len());
+        self.nl.cells.reserve(cells.len());
+        let mut prev_out: Option<NetId> = None;
+        for cell in cells {
+            match (cell.origin, cell.out) {
+                (Origin::BareAssign, Some(lhs)) if aliases.contains(lhs.text) => {
+                    let rhs = match cell.inputs()[0] {
+                        InPin::Net(id) => id,
+                        _ => unreachable!("bare assign always has a net operand"),
+                    };
+                    let net = self.get_or_alloc(&rhs)?;
+                    alias_nets.insert(lhs.text, net);
                 }
+                _ => prev_out = Some(self.build_cell(cell, prev_out)?),
             }
         }
         self.declare_outputs(&alias_nets)?;
         if let Err(e) = self.nl.revalidate() {
-            return Err(self.err(self.module.line, self.module.col, e.to_string()));
+            return Err(self.err(self.module.pos, e.to_string()));
         }
         Ok(self.nl)
     }
@@ -206,15 +175,14 @@ impl<'a> Elaborator<'a> {
 
     /// `wire` declarations allocate net ids in declaration order.
     fn declare_wires(&mut self) -> Result<(), ParseError> {
+        self.nl.nets.reserve(self.module.wires.len());
         for w in &self.module.wires {
             self.check_reserved(w)?;
-            if self.net_ids.contains_key(w.text) {
+            if self.net_ids.get(w.text).is_some() {
                 return Err(self.err_at(w, format!("net `{}` declared twice", w.text)));
             }
-            let index = self.nl.net_count();
-            let name = stored_name(w, "n", index);
-            self.nl.add_net(name.as_deref());
-            self.net_ids.insert(w.text, NetId::from_index(index));
+            let n = self.add_net(w);
+            self.net_ids.insert(w.text, n);
         }
         Ok(())
     }
@@ -229,7 +197,7 @@ impl<'a> Elaborator<'a> {
                 continue; // implicit clock / retention control
             }
             let net = match self.net_ids.get(inp.text) {
-                Some(&n) => n,
+                Some(n) => n,
                 None => {
                     let n = self.nl.add_net(Some(inp.text));
                     self.net_ids.insert(inp.text, n);
@@ -247,7 +215,7 @@ impl<'a> Elaborator<'a> {
         for out in &self.module.outputs {
             self.check_reserved(out)?;
             let net = match self.net_ids.get(out.text) {
-                Some(&n) => n,
+                Some(n) => n,
                 None => match alias_nets.get(out.text) {
                     Some(&n) => n,
                     None => {
@@ -264,14 +232,22 @@ impl<'a> Elaborator<'a> {
         Ok(())
     }
 
+    /// Allocates the next net for `id`, anonymous when `id` is the bare
+    /// `n{index}` pattern of that net's own index. Escaped identifiers
+    /// always keep their name — that is how the exporter marks a real
+    /// name that collides with the pattern.
+    fn add_net(&mut self, id: &Ident<'a>) -> NetId {
+        let index = self.nl.net_count();
+        let anonymous = !id.escaped && pattern_index(id.text, "n") == Some(index);
+        self.nl.add_net((!anonymous).then_some(id.text))
+    }
+
     fn get_or_alloc(&mut self, id: &Ident<'a>) -> Result<NetId, ParseError> {
         self.check_reserved(id)?;
-        if let Some(&n) = self.net_ids.get(id.text) {
+        if let Some(n) = self.net_ids.get(id.text) {
             return Ok(n);
         }
-        let index = self.nl.net_count();
-        let name = stored_name(id, "n", index);
-        let n = self.nl.add_net(name.as_deref());
+        let n = self.add_net(id);
         self.net_ids.insert(id.text, n);
         Ok(n)
     }
@@ -287,361 +263,187 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    fn build_cells(&mut self, cells: &[RCell<'a>]) -> Result<(), ParseError> {
-        let mut prev_out: Option<NetId> = None;
-        for cell in cells {
-            let mut ins = Vec::with_capacity(cell.ins.len());
-            for pin in &cell.ins {
-                ins.push(match pin {
-                    InPin::Net(id) => self.get_or_alloc(id)?,
-                    InPin::Unconnected => self.tie0_net(),
-                    InPin::Prev => prev_out.expect("Prev pin always follows a cell in the group"),
-                });
-            }
-            let out = match &cell.out {
-                Some(id) => self.get_or_alloc(id)?,
-                None => self.nl.add_net(None),
-            };
-            let index = self.nl.cell_count();
-            let name = cell
-                .name
-                .as_ref()
-                .and_then(|id| stored_name(id, "g", index));
-            match self
-                .nl
-                .try_add_cell_driving(cell.kind, ins, out, name.as_deref())
-            {
-                Ok(_) => {}
-                Err(NetlistError::MultipleDrivers { net, name, .. }) => {
-                    let is_input = self.nl.driver(net).is_none();
-                    let label = name.unwrap_or_else(|| format!("{net}"));
-                    return Err(self.err(
-                        cell.line,
-                        cell.col,
-                        if is_input {
-                            format!("cell output drives the input port `{label}`")
-                        } else {
-                            format!("net `{label}` has more than one driver")
-                        },
-                    ));
-                }
-                Err(e) => return Err(self.err(cell.line, cell.col, e.to_string())),
-            }
-            prev_out = Some(out);
-        }
-        Ok(())
-    }
-
-    /// Resolves every source item to cells (masters looked up, pins
-    /// mapped) without allocating nets.
-    fn resolve_items(&self) -> Result<Vec<RItem<'a>>, ParseError> {
-        let mut out = Vec::with_capacity(self.module.items.len());
-        for item in &self.module.items {
-            match item {
-                Item::Assign {
-                    lhs,
-                    rhs,
-                    line,
-                    col,
-                } => {
-                    let (kind, ins, bare) = match rhs {
-                        Expr::Const(false) => (GateKind::TieLo, Vec::new(), false),
-                        Expr::Const(true) => (GateKind::TieHi, Vec::new(), false),
-                        Expr::Net(a) => (GateKind::Buf, vec![InPin::Net(*a)], true),
-                        Expr::Inv(a) => (GateKind::Not, vec![InPin::Net(*a)], false),
-                        Expr::Bin { op, terms } => {
-                            let kind = match (op, terms.len()) {
-                                ('&', 2) => GateKind::And2,
-                                ('&', 3) => GateKind::And3,
-                                ('|', 2) => GateKind::Or2,
-                                ('|', 3) => GateKind::Or3,
-                                ('^', 2) => GateKind::Xor2,
-                                ('^', 3) => GateKind::Xor3,
-                                _ => unreachable!("parser limits terms to 2..=3"),
-                            };
-                            (kind, terms.iter().map(|t| InPin::Net(*t)).collect(), false)
-                        }
-                        Expr::NegBin { op, a, b } => {
-                            let kind = match op {
-                                '&' => GateKind::Nand2,
-                                '|' => GateKind::Nor2,
-                                _ => GateKind::Xnor2,
-                            };
-                            (kind, vec![InPin::Net(*a), InPin::Net(*b)], false)
-                        }
-                        Expr::Mux { sel, t, f } => (
-                            GateKind::Mux2,
-                            vec![InPin::Net(*sel), InPin::Net(*f), InPin::Net(*t)],
-                            false,
-                        ),
-                    };
-                    out.push(RItem::Assign {
-                        lhs: *lhs,
-                        cell: RCell {
-                            kind,
-                            ins,
-                            out: Some(*lhs),
-                            name: None,
-                            line: *line,
-                            col: *col,
-                        },
-                        bare,
-                    });
-                }
-                Item::Instance {
-                    master,
-                    inst,
-                    conns,
-                    line,
-                    col,
-                } => {
-                    let cells = match conns {
-                        Conns::Positional(nets) => {
-                            vec![self.resolve_primitive(master, *inst, nets, *line, *col)?]
-                        }
-                        Conns::Named(pairs) => {
-                            self.resolve_named(master, *inst, pairs, *line, *col)?
-                        }
-                    };
-                    out.push(RItem::Cells(cells));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn resolve_primitive(
-        &self,
-        master: &Ident<'a>,
-        inst: Option<Ident<'a>>,
-        nets: &[Ident<'a>],
-        line: usize,
-        col: usize,
-    ) -> Result<RCell<'a>, ParseError> {
-        let n_ins = nets.len().saturating_sub(1);
-        let kind = match (master.text, n_ins) {
-            ("buf", 1) => GateKind::Buf,
-            ("not", 1) => GateKind::Not,
-            ("and", 2) => GateKind::And2,
-            ("and", 3) => GateKind::And3,
-            ("nand", 2) => GateKind::Nand2,
-            ("or", 2) => GateKind::Or2,
-            ("or", 3) => GateKind::Or3,
-            ("nor", 2) => GateKind::Nor2,
-            ("xor", 2) => GateKind::Xor2,
-            ("xor", 3) => GateKind::Xor3,
-            ("xnor", 2) => GateKind::Xnor2,
-            (name, n) => {
-                return Err(self.err(
-                    line,
-                    col,
-                    format!("`{name}` with {n} inputs is not in the cell library"),
-                ));
-            }
-        };
-        Ok(RCell {
-            kind,
-            ins: nets[1..].iter().map(|n| InPin::Net(*n)).collect(),
-            out: Some(nets[0]),
-            name: inst,
-            line,
-            col,
-        })
-    }
-
-    fn resolve_named(
-        &self,
-        master: &Ident<'a>,
-        inst: Option<Ident<'a>>,
-        pairs: &[(Ident<'a>, Option<Ident<'a>>)],
-        line: usize,
-        col: usize,
-    ) -> Result<Vec<RCell<'a>>, ParseError> {
-        if let Some(kind) = our_cell(master.text) {
-            let (ins, out) = pins(kind);
-            let def = AliasDef {
-                kind,
-                ins,
-                out,
-                out_n: None,
-                ignore: &[],
-            };
-            return self.resolve_def(master, inst, &def, pairs, line, col);
-        }
-        match resolve_alias(master.text) {
-            Some(Resolved::Gate(def)) => self.resolve_def(master, inst, def, pairs, line, col),
-            Some(Resolved::ClockGate) => {
-                let def = AliasDef {
-                    kind: GateKind::Or2,
-                    ins: &["en_i", "scan_cg_en_i"],
-                    out: "clk_o",
-                    out_n: None,
-                    ignore: &["clk_i"],
-                };
-                self.resolve_def(master, inst, &def, pairs, line, col)
-            }
-            Some(Resolved::Conb) => {
-                let mut cells = Vec::new();
-                for (pin, net) in pairs {
-                    let kind = match pin.text {
-                        "HI" => GateKind::TieHi,
-                        "LO" => GateKind::TieLo,
-                        p if GLOBAL_IGNORE.contains(&p) => continue,
-                        p => {
-                            return Err(self.err_at(
-                                pin,
-                                format!("cell `{}` has no pin `{p}` (pins: HI, LO)", master.text),
-                            ));
-                        }
-                    };
-                    if let Some(net) = net {
-                        cells.push(RCell {
-                            kind,
-                            ins: Vec::new(),
-                            out: Some(*net),
-                            name: if cells.is_empty() { inst } else { None },
-                            line,
-                            col,
-                        });
-                    }
-                }
-                Ok(cells)
-            }
-            Some(Resolved::Skip) => Ok(Vec::new()),
-            None => Err(self.err(
-                line,
-                col,
-                format!(
-                    "unknown cell `{}` (not in the cell library or alias table)",
-                    master.text
-                ),
-            )),
-        }
-    }
-
-    fn resolve_def(
-        &self,
-        master: &Ident<'a>,
-        inst: Option<Ident<'a>>,
-        def: &AliasDef,
-        pairs: &[(Ident<'a>, Option<Ident<'a>>)],
-        line: usize,
-        col: usize,
-    ) -> Result<Vec<RCell<'a>>, ParseError> {
-        let mut ins: Vec<InPin<'a>> = vec![InPin::Unconnected; def.ins.len()];
-        let mut out: Option<Ident<'a>> = None;
-        let mut out_n: Option<Ident<'a>> = None;
-        let mut seen: HashSet<&str> = HashSet::new();
-        for (pin, net) in pairs {
-            if !seen.insert(pin.text) {
-                return Err(self.err_at(pin, format!("pin `{}` connected twice", pin.text)));
-            }
-            if let Some(i) = def.ins.iter().position(|p| *p == pin.text) {
-                if let Some(net) = net {
-                    ins[i] = InPin::Net(*net);
-                }
-            } else if pin.text == def.out {
-                out = *net;
-            } else if def.out_n == Some(pin.text) {
-                out_n = *net;
-            } else if def.ignore.contains(&pin.text) || GLOBAL_IGNORE.contains(&pin.text) {
-                // clock / set / power pin: implicit in the model
-            } else {
-                let mut expected: Vec<&str> = def.ins.to_vec();
-                expected.push(def.out);
-                return Err(self.err_at(
-                    pin,
-                    format!(
-                        "cell `{}` has no pin `{}` (pins: {})",
-                        master.text,
-                        pin.text,
-                        expected.join(", ")
-                    ),
-                ));
-            }
-        }
-        let mut cells = vec![RCell {
-            kind: def.kind,
-            ins,
-            out,
-            name: inst,
-            line,
-            col,
-        }];
-        if let Some(qn) = out_n {
-            cells.push(RCell {
-                kind: GateKind::Not,
-                ins: vec![InPin::Prev],
-                out: Some(qn),
-                name: None,
-                line,
-                col,
+    /// Allocates `cell`'s nets and adds it; returns its output net.
+    /// `prev_out` is the output of the cell built just before it.
+    fn build_cell(
+        &mut self,
+        cell: &RCell<'a>,
+        prev_out: Option<NetId>,
+    ) -> Result<NetId, ParseError> {
+        let mut ins = Vec::with_capacity(cell.kind.input_count());
+        for pin in cell.inputs() {
+            ins.push(match pin {
+                InPin::Net(id) => self.get_or_alloc(id)?,
+                InPin::Unconnected => self.tie0_net(),
+                InPin::Prev => prev_out.expect("Prev pin always follows its flop"),
             });
         }
-        Ok(cells)
+        let out = match &cell.out {
+            Some(id) => self.get_or_alloc(id)?,
+            None => self.nl.add_net(None),
+        };
+        let index = self.nl.cell_count();
+        let name = cell
+            .name
+            .filter(|id| id.escaped || pattern_index(id.text, "g") != Some(index))
+            .map(|id| id.text);
+        match self.nl.try_add_cell_driving(cell.kind, ins, out, name) {
+            Ok(_) => Ok(out),
+            Err(NetlistError::MultipleDrivers { net, name, .. }) => {
+                let is_input = self.nl.driver(net).is_none();
+                let label = name.unwrap_or_else(|| format!("{net}"));
+                Err(self.err(
+                    cell.pos,
+                    if is_input {
+                        format!("cell output drives the input port `{label}`")
+                    } else {
+                        format!("net `{label}` has more than one driver")
+                    },
+                ))
+            }
+            Err(e) => Err(self.err(cell.pos, e.to_string())),
+        }
     }
 }
 
-/// `Some(name)` to store on the net/cell, or `None` when the bare
-/// identifier is the anonymous pattern (`n{index}` / `g{index}`) for
-/// its own index. Escaped identifiers always keep their name — that is
-/// how the exporter marks a real name that collides with the pattern.
-fn stored_name(id: &Ident<'_>, prefix: &str, index: usize) -> Option<String> {
-    if !id.escaped && id.text == format!("{prefix}{index}") {
-        return None;
+/// Net ids by source identifier.
+///
+/// A name that is the `n{k}` pattern of its own net `k` — every
+/// anonymous net of a canonical export, the bulk of a large import — is
+/// kept as a flag on `k` and found by parsing the number; every other
+/// name goes through the hash map, which keeps std's randomly keyed
+/// hasher because the text may be hostile. A name lives in exactly one
+/// of the two.
+struct NetIds<'a> {
+    by_name: HashMap<&'a str, NetId>,
+    /// `own_pattern[k]`: net `k` is known by the name `n{k}`.
+    own_pattern: Vec<bool>,
+}
+
+impl<'a> NetIds<'a> {
+    fn with_capacity(nets: usize) -> Self {
+        NetIds {
+            by_name: HashMap::new(),
+            own_pattern: Vec::with_capacity(nets),
+        }
     }
-    Some(id.text.to_owned())
+
+    fn get(&self, name: &str) -> Option<NetId> {
+        match pattern_index(name, "n") {
+            Some(k) if self.own_pattern.get(k) == Some(&true) => Some(NetId::from_index(k)),
+            _ => self.by_name.get(name).copied(),
+        }
+    }
+
+    /// Records `name` for `net`; `name` must not be known yet.
+    fn insert(&mut self, name: &'a str, net: NetId) {
+        let k = net.index();
+        if pattern_index(name, "n") == Some(k) {
+            if self.own_pattern.len() <= k {
+                self.own_pattern.resize(k + 1, false);
+            }
+            self.own_pattern[k] = true;
+        } else {
+            self.by_name.insert(name, net);
+        }
+    }
+}
+
+/// `Some(k)` when `text` is exactly `{prefix}{k}` — the anonymous-id
+/// pattern the canonical exporter prints for entry `k` — without
+/// formatting `k`.
+pub(super) fn pattern_index(text: &str, prefix: &str) -> Option<usize> {
+    let digits = text.strip_prefix(prefix)?.as_bytes();
+    match digits {
+        [] => None,
+        [b'0'] => Some(0),
+        [b'0', ..] => None,
+        _ => digits.iter().try_fold(0usize, |k, &d| {
+            if d.is_ascii_digit() {
+                k.checked_mul(10)?.checked_add(usize::from(d - b'0'))
+            } else {
+                None
+            }
+        }),
+    }
 }
 
 /// Output-port names that resolve to pure aliases: assigned exactly
 /// once from a bare net, never declared as a wire or input, and never
 /// referenced by any cell.
-fn alias_set<'a>(ritems: &[RItem<'a>], module: &SourceModule<'a>) -> HashSet<&'a str> {
-    fn count_cell<'a>(refs: &mut HashSet<&'a str>, cell: &RCell<'a>, include_out: bool) {
-        for pin in &cell.ins {
-            if let InPin::Net(id) = pin {
-                refs.insert(id.text);
-            }
-        }
-        if include_out {
-            if let Some(out) = &cell.out {
-                refs.insert(out.text);
-            }
-        }
+///
+/// Only the left-hand sides of bare assigns to undeclared output ports
+/// are candidates, and only references that could name a candidate
+/// (same first byte, length in range) are looked up, so a module
+/// without such assigns costs one pass over its assigns.
+fn alias_set<'a>(
+    cells: &[RCell<'a>],
+    module: &SourceModule<'a>,
+    net_ids: &NetIds<'a>,
+) -> HashSet<&'a str> {
+    let mut bare_lhs = cells
+        .iter()
+        .filter(|c| c.origin == Origin::BareAssign)
+        .filter_map(|c| c.out)
+        .peekable();
+    if bare_lhs.peek().is_none() {
+        return HashSet::new();
     }
-    let mut refs: HashSet<&str> = HashSet::new();
-    let mut lhs_count: HashMap<&str, usize> = HashMap::new();
-    for item in ritems {
-        match item {
-            RItem::Cells(cells) => {
-                for c in cells {
-                    count_cell(&mut refs, c, true);
+    let outputs: HashSet<&str> = module.outputs.iter().map(|o| o.text).collect();
+    // Every wire and input is in `net_ids`, except the reserved inputs.
+    let declared = |name: &str| {
+        net_ids.get(name).is_some()
+            || (RESERVED.contains(&name) && module.inputs.iter().any(|i| i.text == name))
+    };
+    let mut candidates: HashMap<&'a str, Uses> = bare_lhs
+        .map(|lhs| lhs.text)
+        .filter(|lhs| outputs.contains(lhs) && !declared(lhs))
+        .map(|lhs| (lhs, Uses::default()))
+        .collect();
+    if candidates.is_empty() {
+        return HashSet::new();
+    }
+
+    let mut first_bytes = [false; 256];
+    let (mut min_len, mut max_len) = (usize::MAX, 0);
+    for name in candidates.keys() {
+        first_bytes[usize::from(name.as_bytes()[0])] = true;
+        min_len = min_len.min(name.len());
+        max_len = max_len.max(name.len());
+    }
+    let might_be_candidate = |text: &str| {
+        (min_len..=max_len).contains(&text.len()) && first_bytes[usize::from(text.as_bytes()[0])]
+    };
+    for cell in cells {
+        let assign = cell.origin != Origin::Instance;
+        let out = cell.out.filter(|_| !assign).map(|id| id.text);
+        for text in cell.input_nets().chain(out) {
+            if might_be_candidate(text) {
+                if let Some(uses) = candidates.get_mut(text) {
+                    uses.referenced = true;
                 }
             }
-            RItem::Assign { lhs, cell, .. } => {
-                count_cell(&mut refs, cell, false);
-                *lhs_count.entry(lhs.text).or_insert(0) += 1;
+        }
+        if assign {
+            if let Some(lhs) = cell.out {
+                if let Some(uses) = candidates.get_mut(lhs.text) {
+                    uses.assigned += 1;
+                }
             }
         }
     }
-    let inputs: HashSet<&str> = module.inputs.iter().map(|i| i.text).collect();
-    let wires: HashSet<&str> = module.wires.iter().map(|w| w.text).collect();
-    let outputs: HashSet<&str> = module.outputs.iter().map(|o| o.text).collect();
-    let mut aliases = HashSet::new();
-    for item in ritems {
-        if let RItem::Assign {
-            lhs, bare: true, ..
-        } = item
-        {
-            if outputs.contains(lhs.text)
-                && !wires.contains(lhs.text)
-                && !inputs.contains(lhs.text)
-                && !refs.contains(lhs.text)
-                && lhs_count.get(lhs.text) == Some(&1)
-            {
-                aliases.insert(lhs.text);
-            }
-        }
-    }
-    aliases
+    candidates
+        .into_iter()
+        .filter(|(_, uses)| !uses.referenced && uses.assigned == 1)
+        .map(|(name, _)| name)
+        .collect()
+}
+
+/// How an alias candidate is used across the module.
+#[derive(Default)]
+struct Uses {
+    /// Times it is the left-hand side of an `assign`.
+    assigned: usize,
+    /// Whether any cell reads or drives it.
+    referenced: bool,
 }

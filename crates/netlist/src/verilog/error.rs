@@ -5,8 +5,9 @@ use std::fmt;
 /// A structural-Verilog parse or elaboration error, located in the
 /// source text.
 ///
-/// `line` and `col` are 1-based. `snippet` is the full source line the
-/// error points into (empty when the location is past the last line).
+/// `line` and `col` are 1-based and count bytes. `snippet` is the full
+/// source line the error points into (empty when the location is past
+/// the last line).
 /// The [`fmt::Display`] rendering shows the message, the line, and a
 /// caret marker:
 ///
@@ -28,9 +29,22 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    /// Builds an error at `(line, col)` in `src`, capturing the source
-    /// line as the snippet.
-    pub(super) fn at(src: &str, line: usize, col: usize, message: String) -> Self {
+    /// Builds an error at byte offset `pos` of `src`, resolving it to a
+    /// line and column and capturing that source line as the snippet.
+    ///
+    /// Lines and columns count bytes: each `\n` starts a new line, and
+    /// every other byte (tabs, `\r`, each byte of a multi-byte
+    /// character) advances the column by one. Positions are only
+    /// resolved here, on the error path, so the lexer never tracks them.
+    pub(super) fn at(src: &str, pos: usize, message: String) -> Self {
+        let pos = pos.min(src.len());
+        let before = &src.as_bytes()[..pos];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let col = 1 + pos - line_start;
         let snippet = src
             .lines()
             .nth(line.saturating_sub(1))
@@ -72,7 +86,9 @@ mod tests {
     #[test]
     fn display_carries_location_and_caret() {
         let src = "module m (a);\nwire a wire b;\nendmodule\n";
-        let e = ParseError::at(src, 2, 8, "expected `;` after statement".into());
+        // Byte 21 is the second `wire` on line 2, column 8.
+        let e = ParseError::at(src, 21, "expected `;` after statement".into());
+        assert_eq!((e.line, e.col), (2, 8));
         let text = e.to_string();
         assert!(text.contains("line 2, column 8"), "{text}");
         assert!(text.contains("wire a wire b;"), "{text}");
@@ -84,8 +100,9 @@ mod tests {
 
     #[test]
     fn location_past_end_has_empty_snippet() {
-        let e = ParseError::at("x", 9, 1, "unexpected end of input".into());
+        let e = ParseError::at("x\n", 2, "unexpected end of input".into());
+        assert_eq!((e.line, e.col), (2, 1));
         assert_eq!(e.snippet, "");
-        assert!(e.to_string().contains("line 9"));
+        assert!(e.to_string().contains("line 2"));
     }
 }

@@ -1,16 +1,17 @@
 //! Verilog exporters: the canonical (re-importable) structural form
 //! and the behavioural (simulator-facing) form.
 
+use super::elab::pattern_index;
 use crate::{GateKind, NetId, Netlist};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
 fn needs_escape(name: &str) -> bool {
     name.is_empty()
-        || name.chars().next().is_some_and(|c| c.is_ascii_digit())
+        || name.as_bytes()[0].is_ascii_digit()
         || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '$')
+            .bytes()
+            .all(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$')
 }
 
 fn escape(name: &str) -> String {
@@ -21,52 +22,83 @@ fn escape(name: &str) -> String {
     }
 }
 
-/// Emitted identifiers for nets or cells: anonymous entries print as
-/// `{prefix}{index}`; named entries keep their name, force-escaped when
-/// it collides with their own index pattern (so the importer can tell
-/// the two apart), and demoted to the index pattern when it collides
-/// with another entry's name.
-fn emitted_idents(
-    names: impl Iterator<Item = Option<String>>,
-    prefix: &str,
-) -> Vec<(String, bool)> {
-    let names: Vec<Option<String>> = names.collect();
-    let mut taken: HashSet<String> = names
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.is_none())
-        .map(|(i, _)| format!("{prefix}{i}"))
-        .collect();
-    names
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let pattern = format!("{prefix}{i}");
-            match name {
-                None => (pattern, false),
-                Some(s) if s == pattern => {
-                    taken.insert(s.clone());
-                    (s, true)
-                }
-                Some(s) => {
-                    if taken.insert(s.clone()) {
-                        (s, false)
-                    } else {
-                        // Duplicate name: the id pattern is the only
-                        // unambiguous identifier left for this entry.
-                        (pattern, false)
-                    }
-                }
-            }
-        })
-        .collect()
+/// Appends `name` to `out`, escaped (`\name `) when `force` or when it
+/// is not a simple identifier.
+fn push_ident(out: &mut Vec<u8>, name: &str, force: bool) {
+    if force || needs_escape(name) {
+        out.push(b'\\');
+        out.extend_from_slice(name.as_bytes());
+        out.push(b' ');
+    } else {
+        out.extend_from_slice(name.as_bytes());
+    }
 }
 
-fn render(ident: &str, force_escape: bool) -> String {
-    if force_escape {
-        format!("\\{ident} ")
-    } else {
-        escape(ident)
+/// Appends the anonymous-id pattern `{prefix}{index}` to `out`.
+fn push_pattern(out: &mut Vec<u8>, prefix: &str, index: usize) {
+    let mut digits = [0u8; 20];
+    let mut k = index;
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (k % 10) as u8;
+        k /= 10;
+        if k == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(prefix.as_bytes());
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The emitted-identifier rule for nets or cells: anonymous entries
+/// print as `{prefix}{index}`; named entries keep their name,
+/// force-escaped when it equals their own index pattern (so the
+/// importer can tell the two apart), and demoted to the index pattern
+/// when it is another anonymous entry's pattern or an earlier entry's
+/// name.
+///
+/// Entries must be rendered in index order: each call records the name
+/// it keeps. A name collides with an anonymous pattern when it parses
+/// as `{prefix}{k}` and entry `k` is anonymous, so no set of pattern
+/// strings is built.
+struct Idents<'n, F> {
+    prefix: &'static str,
+    len: usize,
+    /// Whether entry `k` is anonymous.
+    is_anonymous: F,
+    /// Names kept so far.
+    taken: HashSet<&'n str>,
+}
+
+impl<'n, F: Fn(usize) -> bool> Idents<'n, F> {
+    fn new(prefix: &'static str, len: usize, is_anonymous: F) -> Self {
+        Idents {
+            prefix,
+            len,
+            is_anonymous,
+            taken: HashSet::new(),
+        }
+    }
+
+    /// Appends entry `index`'s rendered identifier to `out`.
+    fn push(&mut self, out: &mut Vec<u8>, index: usize, name: Option<&'n str>) {
+        let Some(name) = name else {
+            return push_pattern(out, self.prefix, index);
+        };
+        let pattern = pattern_index(name, self.prefix);
+        if pattern == Some(index) {
+            self.taken.insert(name);
+            push_ident(out, name, true);
+        } else if pattern.is_some_and(|k| k < self.len && (self.is_anonymous)(k))
+            || !self.taken.insert(name)
+        {
+            // Duplicate name: the id pattern is the only unambiguous
+            // identifier left for this entry.
+            push_pattern(out, self.prefix, index);
+        } else {
+            push_ident(out, name, false);
+        }
     }
 }
 
@@ -110,85 +142,106 @@ fn render(ident: &str, force_escape: bool) -> String {
 #[must_use]
 pub fn to_verilog(netlist: &Netlist) -> String {
     let _ = netlist.topo_order(); // assert validated
-    let mut out = String::new();
     let has_seq = netlist.ff_count() > 0;
     let has_retention = netlist.cells().any(|(_, c)| c.kind().is_retention());
+    let nets = netlist.net_count();
+    // About 15 bytes per `wire` line and 60 per instance line.
+    let mut out: Vec<u8> = Vec::with_capacity(64 + 32 * nets + 80 * netlist.cell_count());
 
-    let net_idents = emitted_idents(
-        (0..netlist.net_count()).map(|i| netlist.net_name(NetId::from_index(i)).map(str::to_owned)),
-        "n",
-    );
-    let cell_idents = emitted_idents(
-        netlist.cells().map(|(_, c)| c.name().map(str::to_owned)),
-        "g",
-    );
-    let net = |n: NetId| -> String {
-        let (ident, force) = &net_idents[n.index()];
-        render(ident, *force)
-    };
-
-    let _ = writeln!(out, "// generated by scanguard-netlist");
-    let mut ports: Vec<String> = Vec::new();
-    if has_seq {
-        ports.push("clk".to_owned());
+    out.extend_from_slice(b"// generated by scanguard-netlist\nmodule ");
+    push_ident(&mut out, netlist.name(), false);
+    out.extend_from_slice(b" (");
+    let markers = (has_seq.then_some("clk").into_iter()).chain(has_retention.then_some("retain"));
+    let ports = netlist.input_ports().iter().chain(netlist.output_ports());
+    for (i, name) in markers
+        .chain(ports.map(|(name, _)| name.as_str()))
+        .enumerate()
+    {
+        if i > 0 {
+            out.extend_from_slice(b", ");
+        }
+        push_ident(&mut out, name, false);
     }
-    if has_retention {
-        ports.push("retain".to_owned());
-    }
-    for (name, _) in netlist.input_ports().iter().chain(netlist.output_ports()) {
-        ports.push(escape(name));
-    }
-    let _ = writeln!(
-        out,
-        "module {} ({});",
-        escape(netlist.name()),
-        ports.join(", ")
-    );
+    out.extend_from_slice(b");\n");
 
     if has_seq {
-        let _ = writeln!(out, "  input clk;");
+        out.extend_from_slice(b"  input clk;\n");
     }
     if has_retention {
-        let _ = writeln!(out, "  input retain;");
+        out.extend_from_slice(b"  input retain;\n");
     }
-    for (name, _) in netlist.input_ports() {
-        let _ = writeln!(out, "  input {};", escape(name));
-    }
-    for (name, _) in netlist.output_ports() {
-        let _ = writeln!(out, "  output {};", escape(name));
+    for (dir, ports) in [
+        (&b"  input "[..], netlist.input_ports()),
+        (&b"  output "[..], netlist.output_ports()),
+    ] {
+        for (name, _) in ports {
+            out.extend_from_slice(dir);
+            push_ident(&mut out, name, false);
+            out.extend_from_slice(b";\n");
+        }
     }
 
     // Every net, in net-id order: the importer allocates ids from this
-    // list, which is what keeps the round trip id-exact.
-    for i in 0..netlist.net_count() {
-        let _ = writeln!(out, "  wire {};", net(NetId::from_index(i)));
+    // list, which is what keeps the round trip id-exact. Each net's
+    // identifier is rendered once, here, at `net_at[i]` in `out`; every
+    // later use copies those bytes.
+    let mut net_idents = Idents::new("n", nets, |k| {
+        netlist.net_name(NetId::from_index(k)).is_none()
+    });
+    let mut net_at: Vec<(usize, usize)> = Vec::with_capacity(nets);
+    for i in 0..nets {
+        out.extend_from_slice(b"  wire ");
+        let start = out.len();
+        net_idents.push(&mut out, i, netlist.net_name(NetId::from_index(i)));
+        net_at.push((start, out.len()));
+        out.extend_from_slice(b";\n");
     }
+    let span = |n: NetId| {
+        let (start, end) = net_at[n.index()];
+        start..end
+    };
 
     // Output ports that are not themselves net names alias their net.
     for (name, n) in netlist.output_ports() {
-        if name != &net_idents[n.index()].0 {
-            let _ = writeln!(out, "  assign {} = {};", escape(name), net(*n));
+        let ident = span(*n);
+        let rendered = &out[ident.clone()];
+        let text = match rendered {
+            [b'\\', inner @ .., b' '] => inner,
+            plain => plain,
+        };
+        if name.as_bytes() != text {
+            out.extend_from_slice(b"  assign ");
+            push_ident(&mut out, name, false);
+            out.extend_from_slice(b" = ");
+            out.extend_from_within(ident);
+            out.extend_from_slice(b";\n");
         }
     }
 
     // Cells in cell-id order, as named library instances.
+    let mut cell_idents = Idents::new("g", netlist.cell_count(), |k| {
+        netlist.cell(crate::CellId::from_index(k)).name().is_none()
+    });
     for (id, cell) in netlist.cells() {
-        let (ident, force) = &cell_idents[id.index()];
         let (in_pins, out_pin) = super::alias::pins(cell.kind());
-        let mut conns = vec![format!(".{out_pin}({})", net(cell.output()))];
+        out.extend_from_slice(b"  ");
+        out.extend_from_slice(cell.kind().cell_name().as_bytes());
+        out.push(b' ');
+        cell_idents.push(&mut out, id.index(), cell.name());
+        out.extend_from_slice(b" (.");
+        out.extend_from_slice(out_pin.as_bytes());
+        out.push(b'(');
+        out.extend_from_within(span(cell.output()));
         for (pin, n) in in_pins.iter().zip(cell.inputs()) {
-            conns.push(format!(".{pin}({})", net(*n)));
+            out.extend_from_slice(b"), .");
+            out.extend_from_slice(pin.as_bytes());
+            out.push(b'(');
+            out.extend_from_within(span(*n));
         }
-        let _ = writeln!(
-            out,
-            "  {} {} ({});",
-            cell.kind().cell_name(),
-            render(ident, *force),
-            conns.join(", ")
-        );
+        out.extend_from_slice(b"));\n");
     }
-    let _ = writeln!(out, "endmodule");
-    out
+    out.extend_from_slice(b"endmodule\n");
+    String::from_utf8(out).expect("identifiers come from UTF-8 strings")
 }
 
 /// Renders `netlist` as behavioural Verilog for external event-driven

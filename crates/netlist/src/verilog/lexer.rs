@@ -1,11 +1,14 @@
-//! Zero-copy tokenizer for structural Verilog.
+//! Zero-copy pull lexer for structural Verilog.
 //!
-//! Produces identifier / number / symbol tokens carrying 1-based
-//! line/column positions. Comments (`//` and `/* */`) and compiler
-//! directives (`` ` `` to end of line) are skipped. Escaped
-//! identifiers (`\name `) keep an `escaped` flag — the importer uses
-//! it to distinguish a real name that *looks* like an anonymous-id
-//! pattern from the pattern itself.
+//! [`Lexer::next_tok`] hands out one identifier / number / symbol
+//! token at a time, each carrying the byte offset where it starts; the
+//! parser keeps one token of lookahead, so no token vector is ever
+//! built. Offsets are resolved to a line and column only when an error
+//! is built (see [`ParseError::at`]). Comments (`//` and `/* */`) and
+//! compiler directives (`` ` `` to end of line) are skipped. Escaped
+//! identifiers (`\name `) keep an `escaped` flag — the importer uses it
+//! to distinguish a real name that *looks* like an anonymous-id pattern
+//! from the pattern itself.
 
 use super::error::ParseError;
 
@@ -13,8 +16,9 @@ use super::error::ParseError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Tok<'a> {
     pub kind: TokKind<'a>,
-    pub line: usize,
-    pub col: usize,
+    /// Byte offset of the token's first byte (the source length for
+    /// [`TokKind::Eof`]).
+    pub pos: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,169 +46,217 @@ impl<'a> TokKind<'a> {
     }
 }
 
-const SYMBOLS: &[char] = &[
-    '(', ')', ';', ',', '.', '=', '~', '&', '|', '^', '?', ':', '[', ']', '#', '{', '}', '*', '/',
-    '@', '<', '>', '+', '-',
-];
-
-/// Tokenizes `src` in one pass.
-///
-/// # Errors
-///
-/// Returns a located [`ParseError`] for unterminated block comments,
-/// bare backslashes, and characters outside the structural subset.
-pub(super) fn tokenize(src: &str) -> Result<Vec<Tok<'_>>, ParseError> {
-    let bytes = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut col = 1usize;
-
-    macro_rules! bump {
-        () => {{
-            if bytes[i] == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
-        }};
+/// A byte-indexed membership table for the bytes in `members`.
+const fn byte_set(members: &[u8]) -> [bool; 256] {
+    let mut set = [false; 256];
+    let mut i = 0;
+    while i < members.len() {
+        set[members[i] as usize] = true;
+        i += 1;
     }
+    set
+}
 
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            b' ' | b'\t' | b'\r' | b'\n' => bump!(),
-            b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
-                }
-            }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let (sl, sc) = (line, col);
-                bump!();
-                bump!();
-                loop {
-                    if i + 1 >= bytes.len() {
-                        return Err(ParseError::at(
-                            src,
-                            sl,
-                            sc,
-                            "unterminated block comment".into(),
-                        ));
-                    }
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        bump!();
-                        bump!();
-                        break;
-                    }
-                    bump!();
-                }
-            }
-            b'`' => {
-                // Compiler directive (`timescale, `define...): skip the line.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
-                }
-            }
-            b'\\' => {
-                // Escaped identifier: backslash to next whitespace.
-                let (sl, sc) = (line, col);
-                bump!();
-                let start = i;
-                while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-                    bump!();
-                }
-                if i == start {
-                    return Err(ParseError::at(
-                        src,
-                        sl,
-                        sc,
-                        "escaped identifier `\\` must be followed by a name".into(),
-                    ));
-                }
-                toks.push(Tok {
-                    kind: TokKind::Ident {
-                        text: &src[start..i],
-                        escaped: true,
-                    },
-                    line: sl,
-                    col: sc,
-                });
-            }
-            b'0'..=b'9' => {
-                let (sl, sc) = (line, col);
-                let start = i;
-                // Number with optional based literal: digits ['\'' base digits].
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    bump!();
-                }
-                if i < bytes.len() && bytes[i] == b'\'' {
-                    bump!();
-                    if i < bytes.len() && bytes[i].is_ascii_alphabetic() {
-                        bump!();
-                    }
-                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        bump!();
-                    }
-                }
-                toks.push(Tok {
-                    kind: TokKind::Number(&src[start..i]),
-                    line: sl,
-                    col: sc,
-                });
-            }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
-                let (sl, sc) = (line, col);
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
-                {
-                    bump!();
-                }
-                toks.push(Tok {
-                    kind: TokKind::Ident {
-                        text: &src[start..i],
-                        escaped: false,
-                    },
-                    line: sl,
-                    col: sc,
-                });
-            }
-            _ if SYMBOLS.contains(&(c as char)) => {
-                toks.push(Tok {
-                    kind: TokKind::Sym(c as char),
-                    line,
-                    col,
-                });
-                bump!();
-            }
-            _ => {
-                return Err(ParseError::at(
-                    src,
-                    line,
-                    col,
-                    format!("unexpected character `{}`", c as char),
-                ));
-            }
+/// Bytes that continue a simple identifier.
+const IDENT_CONT: [bool; 256] =
+    byte_set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$");
+
+/// Single-character punctuation tokens.
+const SYMBOLS: [bool; 256] = byte_set(b"();,.=~&|^?:[]#{}*/@<>+-");
+
+/// Pulls tokens from a source text one at a time.
+///
+/// A lexical error ends the token stream: the lexer keeps the error and
+/// reports end of input from then on, and [`Lexer::finish`] returns it.
+/// A lexical error anywhere in the source takes precedence over any
+/// parse error, so the parser asks `finish` before reporting its own.
+pub(super) struct Lexer<'a> {
+    src: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
+    /// The first lexical error.
+    error: Option<ParseError>,
+}
+
+impl<'a> Lexer<'a> {
+    pub fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            error: None,
         }
     }
-    toks.push(Tok {
-        kind: TokKind::Eof,
-        line,
-        col,
-    });
-    Ok(toks)
+
+    /// The next token; [`TokKind::Eof`] again and again once the input
+    /// is exhausted or a lexical error has been met.
+    pub fn next_tok(&mut self) -> Tok<'a> {
+        if self.error.is_none() {
+            match self.scan() {
+                Ok(tok) => return tok,
+                Err(e) => self.error = Some(e),
+            }
+        }
+        Tok {
+            kind: TokKind::Eof,
+            pos: self.pos,
+        }
+    }
+
+    /// Lexes the rest of the input.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first lexical error in the source, if any.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        while self.next_tok().kind != TokKind::Eof {}
+        self.error.map_or(Ok(()), Err)
+    }
+
+    /// Scans one token at `self.pos`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a located [`ParseError`] for unterminated block comments,
+    /// bare backslashes, and characters outside the structural subset,
+    /// without advancing.
+    fn scan(&mut self) -> Result<Tok<'a>, ParseError> {
+        let bytes = self.src.as_bytes();
+        let len = bytes.len();
+        let mut i = self.pos;
+        loop {
+            let Some(&c) = bytes.get(i) else {
+                self.pos = len;
+                return Ok(Tok {
+                    kind: TokKind::Eof,
+                    pos: len,
+                });
+            };
+            let start = i;
+            let kind = match c {
+                b' ' | b'\t' | b'\r' | b'\n' => {
+                    i += 1;
+                    continue;
+                }
+                // Line comment or compiler directive (`timescale,
+                // `define...): skip to the end of the line.
+                b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                    i = skip_line(bytes, i);
+                    continue;
+                }
+                b'`' => {
+                    i = skip_line(bytes, i);
+                    continue;
+                }
+                b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                    i += 2;
+                    loop {
+                        if i + 1 >= len {
+                            self.pos = start;
+                            return Err(ParseError::at(
+                                self.src,
+                                start,
+                                "unterminated block comment".into(),
+                            ));
+                        }
+                        if bytes[i] == b'*' && bytes[i + 1] == b'/' {
+                            i += 2;
+                            break;
+                        }
+                        i += 1;
+                    }
+                    continue;
+                }
+                b'\\' => {
+                    // Escaped identifier: backslash to next whitespace.
+                    i += 1;
+                    while i < len && !bytes[i].is_ascii_whitespace() {
+                        i += 1;
+                    }
+                    if i == start + 1 {
+                        self.pos = start;
+                        return Err(ParseError::at(
+                            self.src,
+                            start,
+                            "escaped identifier `\\` must be followed by a name".into(),
+                        ));
+                    }
+                    TokKind::Ident {
+                        text: &self.src[start + 1..i],
+                        escaped: true,
+                    }
+                }
+                b'0'..=b'9' => {
+                    // Number with optional based literal: digits ['\'' base digits].
+                    while i < len && bytes[i].is_ascii_digit() {
+                        i += 1;
+                    }
+                    if i < len && bytes[i] == b'\'' {
+                        i += 1;
+                        if i < len && bytes[i].is_ascii_alphabetic() {
+                            i += 1;
+                        }
+                        while i < len && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                            i += 1;
+                        }
+                    }
+                    TokKind::Number(&self.src[start..i])
+                }
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
+                    i += 1;
+                    while i < len && IDENT_CONT[usize::from(bytes[i])] {
+                        i += 1;
+                    }
+                    TokKind::Ident {
+                        text: &self.src[start..i],
+                        escaped: false,
+                    }
+                }
+                _ if SYMBOLS[usize::from(c)] => {
+                    i += 1;
+                    TokKind::Sym(c as char)
+                }
+                _ => {
+                    self.pos = start;
+                    return Err(ParseError::at(
+                        self.src,
+                        start,
+                        format!("unexpected character `{}`", c as char),
+                    ));
+                }
+            };
+            self.pos = i;
+            return Ok(Tok { kind, pos: start });
+        }
+    }
+}
+
+/// The offset of the `\n` ending the line that contains `i` (or the
+/// source length).
+fn skip_line(bytes: &[u8], i: usize) -> usize {
+    bytes[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |n| i + n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tokens(src: &str) -> Result<Vec<Tok<'_>>, ParseError> {
+        let mut lex = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lex.next_tok();
+            out.push(t);
+            if t.kind == TokKind::Eof {
+                return lex.finish().map(|()| out);
+            }
+        }
+    }
+
     fn kinds(src: &str) -> Vec<TokKind<'_>> {
-        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
+        tokens(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -250,7 +302,8 @@ mod tests {
 
     #[test]
     fn tracks_line_and_column() {
-        let toks = tokenize("wire a;\n  wire b;").unwrap();
+        let src = "wire a;\n  wire b;";
+        let toks = tokens(src).unwrap();
         let b = toks
             .iter()
             .find(|t| {
@@ -261,19 +314,46 @@ mod tests {
                     }
             })
             .unwrap();
-        assert_eq!((b.line, b.col), (2, 8));
+        assert_eq!(b.pos, 15);
+        let e = ParseError::at(src, b.pos, String::new());
+        assert_eq!((e.line, e.col), (2, 8));
     }
 
     #[test]
     fn unterminated_block_comment_is_located() {
-        let e = tokenize("wire a;\n/* oops").unwrap_err();
+        let e = tokens("wire a;\n/* oops").unwrap_err();
         assert_eq!((e.line, e.col), (2, 1));
         assert!(e.message.contains("unterminated"));
     }
 
     #[test]
     fn stray_character_is_located() {
-        let e = tokenize("wire a%;").unwrap_err();
+        let e = tokens("wire a%;").unwrap_err();
         assert_eq!((e.line, e.col), (1, 7));
+    }
+
+    #[test]
+    fn eof_repeats_and_a_lexical_error_ends_the_stream() {
+        let mut lex = Lexer::new("a");
+        assert!(matches!(lex.next_tok().kind, TokKind::Ident { .. }));
+        let eof = Tok {
+            kind: TokKind::Eof,
+            pos: 1,
+        };
+        assert_eq!(lex.next_tok(), eof);
+        assert_eq!(lex.next_tok(), eof);
+        assert!(lex.finish().is_ok());
+
+        let mut lex = Lexer::new("a % b `c");
+        lex.next_tok();
+        assert_eq!(lex.next_tok().kind, TokKind::Eof, "the `%` ends the stream");
+        assert_eq!(lex.next_tok().kind, TokKind::Eof);
+        let e = lex.finish().unwrap_err();
+        assert_eq!((e.col, e.message.as_str()), (3, "unexpected character `%`"));
+
+        // `finish` lexes what the parser did not read.
+        let mut lex = Lexer::new("a b % c");
+        lex.next_tok();
+        assert_eq!(lex.finish().unwrap_err().col, 5);
     }
 }

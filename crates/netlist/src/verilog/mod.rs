@@ -18,6 +18,15 @@
 //!   returns it validated. Errors carry line, column and a source
 //!   snippet — see [`ParseError`].
 //!
+//! Both directions stream. The importer's pull lexer hands the parser
+//! one token at a time (one token of lookahead, no token vector), and
+//! every token and identifier carries only its byte offset: offsets
+//! are resolved to a line and column when an error is built, never on
+//! the happy path. Each instance is resolved to cells as soon as its
+//! `;` is read, so the module is held as one flat cell list. The
+//! canonical exporter renders each net identifier once and appends
+//! everything into one pre-sized buffer.
+//!
 //! The canonical form leans on two conventions so that anonymous ids
 //! survive the trip: an anonymous net at index `k` prints as `nk` and
 //! an anonymous cell at index `k` prints as `gk`; a *named* net or
@@ -33,6 +42,7 @@ mod error;
 mod export;
 mod lexer;
 mod parse;
+mod resolve;
 
 pub use elab::from_verilog;
 pub use error::ParseError;

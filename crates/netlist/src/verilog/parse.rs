@@ -17,20 +17,28 @@
 //! Behavioural constructs (`always`, `reg`, `initial`), vector ranges,
 //! parameters and a second `module` are rejected with located errors —
 //! the importer refuses to mis-elaborate what it cannot represent.
+//!
+//! The parser pulls tokens from the lexer with one token of lookahead,
+//! and hands each `assign` and instance to [`super::resolve`] as soon as
+//! its `;` is read.
 
 use super::error::ParseError;
-use super::lexer::{tokenize, Tok, TokKind};
+use super::lexer::{Lexer, Tok, TokKind};
+use super::resolve::{self, RCell};
 
 /// An identifier occurrence in the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Ident<'a> {
     pub text: &'a str,
     pub escaped: bool,
-    pub line: usize,
-    pub col: usize,
+    /// Byte offset of the identifier (of its backslash when escaped).
+    pub pos: usize,
 }
 
-/// A parsed (not yet elaborated) module.
+/// A parsed module, its instances and assigns already resolved.
+///
+/// Each statement is resolved to cells as soon as it is parsed, so no
+/// per-statement syntax tree or pin list is kept.
 #[derive(Debug)]
 pub(super) struct SourceModule<'a> {
     pub name: Ident<'a>,
@@ -38,34 +46,14 @@ pub(super) struct SourceModule<'a> {
     pub inputs: Vec<Ident<'a>>,
     pub outputs: Vec<Ident<'a>>,
     pub wires: Vec<Ident<'a>>,
-    pub items: Vec<Item<'a>>,
-    pub line: usize,
-    pub col: usize,
-}
-
-#[derive(Debug)]
-pub(super) enum Item<'a> {
-    Assign {
-        lhs: Ident<'a>,
-        rhs: Expr<'a>,
-        line: usize,
-        col: usize,
-    },
-    Instance {
-        master: Ident<'a>,
-        inst: Option<Ident<'a>>,
-        conns: Conns<'a>,
-        line: usize,
-        col: usize,
-    },
-}
-
-#[derive(Debug)]
-pub(super) enum Conns<'a> {
-    /// `.PIN(net)` pairs; `None` nets are explicitly unconnected pins.
-    Named(Vec<(Ident<'a>, Option<Ident<'a>>)>),
-    /// Positional nets (gate primitives only): output first.
-    Positional(Vec<Ident<'a>>),
+    /// Every instance and `assign`, resolved, in source order.
+    pub cells: Vec<RCell<'a>>,
+    /// The first instance that failed to resolve. Parse errors anywhere
+    /// take precedence; the elaborator reports it after checking the
+    /// declarations.
+    pub unresolved: Option<ParseError>,
+    /// Byte offset of the `module` keyword.
+    pub pos: usize,
 }
 
 #[derive(Debug)]
@@ -77,7 +65,12 @@ pub(super) enum Expr<'a> {
     /// `~a`.
     Inv(Ident<'a>),
     /// `a op b [op c]` with a single operator `&`, `|` or `^`.
-    Bin { op: char, terms: Vec<Ident<'a>> },
+    Bin {
+        op: char,
+        a: Ident<'a>,
+        b: Ident<'a>,
+        c: Option<Ident<'a>>,
+    },
     /// `~(a op b)`.
     NegBin {
         op: char,
@@ -112,25 +105,28 @@ const UNSUPPORTED_DECLS: &[&str] = &[
 
 struct Parser<'a> {
     src: &'a str,
-    toks: Vec<Tok<'a>>,
-    pos: usize,
+    lex: Lexer<'a>,
+    /// The one token of lookahead.
+    tok: Tok<'a>,
+    /// The `.PIN(net)` pairs of the instance being parsed.
+    pins: Vec<(Ident<'a>, Option<Ident<'a>>)>,
+    /// The positional nets of the primitive being parsed.
+    nets: Vec<Ident<'a>>,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Tok<'a> {
-        self.toks[self.pos]
+        self.tok
     }
 
     fn next(&mut self) -> Tok<'a> {
-        let t = self.toks[self.pos];
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
+        let t = self.tok;
+        self.tok = self.lex.next_tok();
         t
     }
 
     fn err(&self, tok: Tok<'a>, message: String) -> ParseError {
-        ParseError::at(self.src, tok.line, tok.col, message)
+        ParseError::at(self.src, tok.pos, message)
     }
 
     fn expect_sym(&mut self, sym: char, what: &str) -> Result<(), ParseError> {
@@ -150,8 +146,7 @@ impl<'a> Parser<'a> {
             TokKind::Ident { text, escaped } => Ok(Ident {
                 text,
                 escaped,
-                line: t.line,
-                col: t.col,
+                pos: t.pos,
             }),
             _ => Err(self.err(t, format!("expected {what}, found {}", t.kind.describe()))),
         }
@@ -165,14 +160,15 @@ impl<'a> Parser<'a> {
         matches!(self.peek().kind, TokKind::Ident { text, escaped: false } if text == kw)
     }
 
-    /// `ident {"," ident}` until (but not consuming) `;` or `)`.
-    fn ident_list(&mut self, what: &str) -> Result<Vec<Ident<'a>>, ParseError> {
-        let mut out = vec![self.named_ident(what)?];
+    /// `ident {"," ident}` until (but not consuming) `;` or `)`,
+    /// appended to `out`.
+    fn ident_list(&mut self, what: &str, out: &mut Vec<Ident<'a>>) -> Result<(), ParseError> {
+        out.push(self.named_ident(what)?);
         while self.at_sym(',') {
             self.next();
             out.push(self.named_ident(what)?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// An identifier in declaration position; a `[` here means a vector
@@ -193,13 +189,12 @@ impl<'a> Parser<'a> {
         if !self.at_keyword("module") {
             return Err(self.err(t, format!("expected `module`, found {}", t.kind.describe())));
         }
-        let (mline, mcol) = (t.line, t.col);
         self.next();
         let name = self.expect_ident("a module name")?;
         let mut header_ports = Vec::new();
         self.expect_sym('(', "after the module name")?;
         if !self.at_sym(')') {
-            header_ports = self.ident_list("a port name")?;
+            self.ident_list("a port name", &mut header_ports)?;
         }
         self.expect_sym(')', "to close the port list")?;
         self.expect_sym(';', "after the module header")?;
@@ -210,9 +205,9 @@ impl<'a> Parser<'a> {
             inputs: Vec::new(),
             outputs: Vec::new(),
             wires: Vec::new(),
-            items: Vec::new(),
-            line: mline,
-            col: mcol,
+            cells: Vec::new(),
+            unresolved: None,
+            pos: t.pos,
         };
 
         loop {
@@ -274,21 +269,18 @@ impl<'a> Parser<'a> {
         match kw {
             "input" => {
                 self.next();
-                let names = self.ident_list("an input port name")?;
+                self.ident_list("an input port name", &mut module.inputs)?;
                 self.expect_sym(';', "after the input declaration")?;
-                module.inputs.extend(names);
             }
             "output" => {
                 self.next();
-                let names = self.ident_list("an output port name")?;
+                self.ident_list("an output port name", &mut module.outputs)?;
                 self.expect_sym(';', "after the output declaration")?;
-                module.outputs.extend(names);
             }
             "wire" => {
                 self.next();
-                let names = self.ident_list("a wire name")?;
+                self.ident_list("a wire name", &mut module.wires)?;
                 self.expect_sym(';', "after the wire declaration")?;
-                module.wires.extend(names);
             }
             "assign" => {
                 self.next();
@@ -296,12 +288,7 @@ impl<'a> Parser<'a> {
                 self.expect_sym('=', "in the assignment")?;
                 let rhs = self.parse_expr()?;
                 self.expect_sym(';', "after the assignment")?;
-                module.items.push(Item::Assign {
-                    lhs,
-                    rhs,
-                    line: t.line,
-                    col: t.col,
-                });
+                module.cells.push(resolve::assign(lhs, &rhs, t.pos));
             }
             _ => self.parse_instance(module)?,
         }
@@ -317,9 +304,14 @@ impl<'a> Parser<'a> {
             Some(self.expect_ident("an instance name")?)
         };
         self.expect_sym('(', "to open the connection list")?;
-        let conns = if primitive {
-            let nets = self.ident_list("a net")?;
-            Conns::Positional(nets)
+        // The scratch lists leave `self` while the connections are read
+        // (which borrows `self`) and come back to keep their capacity.
+        let mut nets = std::mem::take(&mut self.nets);
+        let mut pins = std::mem::take(&mut self.pins);
+        nets.clear();
+        pins.clear();
+        if primitive {
+            self.ident_list("a net", &mut nets)?;
         } else {
             let t = self.peek();
             if !self.at_sym('.') {
@@ -332,7 +324,6 @@ impl<'a> Parser<'a> {
                     ),
                 ));
             }
-            let mut pairs = Vec::new();
             loop {
                 self.expect_sym('.', "before the pin name")?;
                 let pin = self.expect_ident("a pin name")?;
@@ -343,24 +334,29 @@ impl<'a> Parser<'a> {
                     Some(self.named_ident("a net")?)
                 };
                 self.expect_sym(')', "to close the pin connection")?;
-                pairs.push((pin, net));
+                pins.push((pin, net));
                 if self.at_sym(',') {
                     self.next();
                 } else {
                     break;
                 }
             }
-            Conns::Named(pairs)
-        };
+        }
         self.expect_sym(')', "to close the connection list")?;
         self.expect_sym(';', "after the instance")?;
-        module.items.push(Item::Instance {
-            master,
-            inst,
-            conns,
-            line: master.line,
-            col: master.col,
-        });
+        // After the first failure only parse errors matter, so later
+        // instances are not resolved.
+        if module.unresolved.is_none() {
+            let resolved = if primitive {
+                resolve::primitive(self.src, &master, inst, &nets)
+                    .map(|cell| module.cells.push(cell))
+            } else {
+                resolve::named(self.src, &master, inst, &pins, &mut module.cells)
+            };
+            module.unresolved = resolved.err();
+        }
+        self.nets = nets;
+        self.pins = pins;
         Ok(())
     }
 
@@ -395,7 +391,10 @@ impl<'a> Parser<'a> {
                     TokKind::Sym(op @ ('&' | '|' | '^')) => {
                         self.next();
                         let second = self.expect_ident("a net")?;
-                        let mut terms = vec![first, second];
+                        // Every further term is read (so a malformed one
+                        // is reported first), but only the third is kept.
+                        let mut third = None;
+                        let mut terms = 2usize;
                         while let TokKind::Sym(next_op @ ('&' | '|' | '^')) = self.peek().kind {
                             let t2 = self.peek();
                             if next_op != op {
@@ -405,18 +404,22 @@ impl<'a> Parser<'a> {
                                 ));
                             }
                             self.next();
-                            terms.push(self.expect_ident("a net")?);
+                            let term = self.expect_ident("a net")?;
+                            third.get_or_insert(term);
+                            terms += 1;
                         }
-                        if terms.len() > 3 {
+                        if terms > 3 {
                             return Err(self.err(
                                 t,
-                                format!(
-                                    "expressions with {} terms are not supported (max 3)",
-                                    terms.len()
-                                ),
+                                format!("expressions with {terms} terms are not supported (max 3)"),
                             ));
                         }
-                        Ok(Expr::Bin { op, terms })
+                        Ok(Expr::Bin {
+                            op,
+                            a: first,
+                            b: second,
+                            c: third,
+                        })
                     }
                     TokKind::Sym('?') => {
                         self.next();
@@ -452,10 +455,23 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses one flat module from `src`.
+///
+/// A lexical error anywhere in `src` takes precedence over a parse
+/// error: the rest of the input is lexed before a parse error is
+/// reported, and the first lexical error, if any, is returned instead.
 pub(super) fn parse(src: &str) -> Result<SourceModule<'_>, ParseError> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { src, toks, pos: 0 };
-    p.parse_module()
+    let mut lex = Lexer::new(src);
+    let tok = lex.next_tok();
+    let mut p = Parser {
+        src,
+        lex,
+        tok,
+        pins: Vec::new(),
+        nets: Vec::new(),
+    };
+    let parsed = p.parse_module();
+    p.lex.finish()?;
+    parsed
 }
 
 #[cfg(test)]
@@ -469,46 +485,38 @@ mod tests {
         assert_eq!(m.header_ports.len(), 2);
         assert_eq!(m.inputs.len(), 1);
         assert_eq!(m.outputs.len(), 1);
-        assert_eq!(m.items.len(), 1);
+        assert_eq!(m.cells.len(), 1);
     }
 
     #[test]
     fn parses_named_instance_with_unconnected_pin() {
         let m = parse("module m (); SDFF r0 (.Q(q), .D(d), .SI(), .SE(se)); endmodule").unwrap();
-        match &m.items[0] {
-            Item::Instance {
-                master,
-                inst,
-                conns,
-                ..
-            } => {
-                assert_eq!(master.text, "SDFF");
-                assert_eq!(inst.unwrap().text, "r0");
-                match conns {
-                    Conns::Named(pairs) => {
-                        assert_eq!(pairs.len(), 4);
-                        assert!(pairs[2].1.is_none(), "SI is unconnected");
-                    }
-                    Conns::Positional(_) => panic!("named expected"),
-                }
-            }
-            Item::Assign { .. } => panic!("instance expected"),
-        }
+        let cell = &m.cells[0];
+        assert_eq!(cell.kind, crate::GateKind::Sdff);
+        assert_eq!(cell.name.unwrap().text, "r0");
+        assert_eq!(cell.out.unwrap().text, "q");
+        let ins: Vec<&str> = cell.input_nets().collect();
+        assert_eq!(ins, ["d", "se"], "SI is unconnected");
     }
 
     #[test]
     fn parses_primitive_positional() {
         let m = parse("module m (); nand g1 (y, a, b); endmodule").unwrap();
-        match &m.items[0] {
-            Item::Instance { master, conns, .. } => {
-                assert_eq!(master.text, "nand");
-                match conns {
-                    Conns::Positional(nets) => assert_eq!(nets.len(), 3),
-                    Conns::Named(_) => panic!("positional expected"),
-                }
-            }
-            Item::Assign { .. } => panic!("instance expected"),
-        }
+        let cell = &m.cells[0];
+        assert_eq!(cell.kind, crate::GateKind::Nand2);
+        assert_eq!(cell.input_nets().collect::<Vec<_>>(), ["a", "b"]);
+    }
+
+    #[test]
+    fn resolution_errors_wait_for_the_rest_of_the_parse() {
+        let m = parse("module m (); AND9 g0 (.Y(y)); INV g1 (.Y(z), .A(y)); endmodule").unwrap();
+        assert!(m
+            .unresolved
+            .unwrap()
+            .message
+            .contains("unknown cell `AND9`"));
+        let e = parse("module m (); AND9 g0 (.Y(y)); INV g1 (.Y(z) .A(y)); endmodule").unwrap_err();
+        assert!(e.message.contains("expected `)`"), "{e}");
     }
 
     #[test]

@@ -156,6 +156,26 @@ fn round_trips_escaped_and_pattern_names() {
 }
 
 #[test]
+fn round_trips_names_equal_to_their_own_pattern() {
+    // Net 1 is named `n1` and cell 1 is named `g1`: both are exported
+    // escaped and must come back named, not anonymous.
+    let mut b = NetlistBuilder::new("own");
+    let a = b.input("a");
+    let (n1, _) = b.named_cell("n1", GateKind::Buf, vec![a]);
+    let (g1, _) = b.named_cell("g1", GateKind::Not, vec![n1]);
+    b.output("y", g1);
+    let nl = b.finish().unwrap();
+    assert_eq!(nl.net_name(n1), Some("n1"));
+    assert_eq!(nl.cell(nl.driver(g1).unwrap()).name(), Some("g1"));
+    let src = to_verilog(&nl);
+    assert!(
+        src.contains("wire \\n1 ;") && src.contains("INV \\g1  ("),
+        "{src}"
+    );
+    round_trip(&nl);
+}
+
+#[test]
 fn round_trips_feedback_and_port_aliases() {
     round_trip(&feedback_and_port_aliases());
 }
@@ -695,49 +715,57 @@ fn parse_errors_match_goldens() {
     assert_eq!(got.lines().count(), want.lines().count(), "golden length");
 }
 
-/// The exported fixtures, by golden file name.
-fn export_fixtures() -> Vec<(&'static str, Netlist)> {
-    vec![
-        ("scan_sample.v", scan_sample()),
-        ("every_gate_kind.v", every_gate_kind()),
-        ("escaped_and_pattern_names.v", escaped_and_pattern_names()),
-        ("feedback_and_port_aliases.v", feedback_and_port_aliases()),
+/// Each export fixture with its golden `to_verilog` text.
+fn export_goldens() -> [(&'static str, Netlist, &'static str); 8] {
+    let chain4 = include_str!("../../../../tests/fixtures/scan_chain4.v");
+    [
         (
-            "multiple_outputs_on_one_net.v",
+            "scan_sample",
+            scan_sample(),
+            include_str!("goldens/scan_sample.v"),
+        ),
+        (
+            "every_gate_kind",
+            every_gate_kind(),
+            include_str!("goldens/every_gate_kind.v"),
+        ),
+        (
+            "escaped_and_pattern_names",
+            escaped_and_pattern_names(),
+            include_str!("goldens/escaped_and_pattern_names.v"),
+        ),
+        (
+            "feedback_and_port_aliases",
+            feedback_and_port_aliases(),
+            include_str!("goldens/feedback_and_port_aliases.v"),
+        ),
+        (
+            "multiple_outputs_on_one_net",
             multiple_outputs_on_one_net(),
+            include_str!("goldens/multiple_outputs_on_one_net.v"),
         ),
         (
-            "duplicate_and_colliding_names.v",
+            "duplicate_and_colliding_names",
             duplicate_and_colliding_names(),
+            include_str!("goldens/duplicate_and_colliding_names.v"),
         ),
-        ("sky130_reexport.v", from_verilog(SKY130).unwrap()),
         (
-            "scan_chain4_reexport.v",
-            from_verilog(include_str!("../../../../tests/fixtures/scan_chain4.v")).unwrap(),
+            "sky130_reexport",
+            from_verilog(SKY130).unwrap(),
+            include_str!("goldens/sky130_reexport.v"),
+        ),
+        (
+            "scan_chain4_reexport",
+            from_verilog(chain4).unwrap(),
+            include_str!("goldens/scan_chain4_reexport.v"),
         ),
     ]
 }
 
-fn export_golden(name: &str) -> &'static str {
-    match name {
-        "scan_sample.v" => include_str!("goldens/scan_sample.v"),
-        "every_gate_kind.v" => include_str!("goldens/every_gate_kind.v"),
-        "escaped_and_pattern_names.v" => include_str!("goldens/escaped_and_pattern_names.v"),
-        "feedback_and_port_aliases.v" => include_str!("goldens/feedback_and_port_aliases.v"),
-        "multiple_outputs_on_one_net.v" => include_str!("goldens/multiple_outputs_on_one_net.v"),
-        "duplicate_and_colliding_names.v" => {
-            include_str!("goldens/duplicate_and_colliding_names.v")
-        }
-        "sky130_reexport.v" => include_str!("goldens/sky130_reexport.v"),
-        "scan_chain4_reexport.v" => include_str!("goldens/scan_chain4_reexport.v"),
-        _ => unreachable!("every fixture has a golden"),
-    }
-}
-
 #[test]
 fn exports_match_goldens() {
-    for (name, nl) in export_fixtures() {
-        assert_eq!(to_verilog(&nl), export_golden(name), "{name}");
+    for (name, nl, golden) in export_goldens() {
+        assert_eq!(to_verilog(&nl), golden, "{name}");
     }
 }
 
